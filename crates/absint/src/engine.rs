@@ -233,17 +233,6 @@ pub fn analyze_from<D: AbstractDomain>(
                 if back_contributes {
                     join_counts[node.0] += 1;
                 }
-                if let Ok(t) = std::env::var("BLAZER_TRACE_NODE") {
-                    if t.parse::<usize>() == Ok(node.0) {
-                        eprintln!(
-                            "pass {passes} node {} count {}:\n  incoming: {}\n  new: {}",
-                            node.0,
-                            join_counts[node.0],
-                            incoming.to_polyhedron(),
-                            new.to_polyhedron()
-                        );
-                    }
-                }
                 result.states[node.0] = new;
                 changed = true;
             }

@@ -1,15 +1,14 @@
 //! Antichain-based emptiness, inclusion, and equivalence over *lazy*
 //! automata.
 //!
-//! The classic decision procedures in [`crate::ops`] answer every yes/no
-//! question by *materializing* a product DFA and testing it — paying a full
-//! subset construction (and often a Moore minimization downstream) even when
-//! the answer is decidable after visiting a handful of states. This module
-//! is the on-the-fly alternative, following the antichain refinement-checking
-//! algorithms of Laveaux, Groote, and Willemse (LMCS 2021, the algorithmic
-//! basis of mCRL2's refinement checker): explore the macro-state space of a
-//! *lazily determinized* automaton, and prune every macro-state that is
-//! *dominated* by one already explored.
+//! Answering a yes/no question by *materializing* a product DFA and testing
+//! it pays a full subset construction (and often a Moore minimization
+//! downstream) even when the answer is decidable after visiting a handful of
+//! states. This module decides on the fly instead, following the antichain
+//! refinement-checking algorithms of Laveaux, Groote, and Willemse (LMCS
+//! 2021, the algorithmic basis of mCRL2's refinement checker): explore the
+//! macro-state space of a *lazily determinized* automaton, and prune every
+//! macro-state that is *dominated* by one already explored.
 //!
 //! # The lazy automaton abstraction
 //!
@@ -43,10 +42,10 @@
 //!
 //! # Counters
 //!
-//! The per-analysis counters (`macro_states_explored`, `antichain_prunes`,
-//! `classic_fallbacks`) accumulate on a thread-local [`StatsCollector`],
-//! installed by the driver exactly like `blazer_ir::budget` — worker threads
-//! install a clone of the same `Arc` so one analysis gets one ledger.
+//! The per-analysis counters (`macro_states_explored`, `antichain_prunes`)
+//! accumulate on a thread-local [`StatsCollector`], installed by the driver
+//! exactly like `blazer_ir::budget` — worker threads install a clone of the
+//! same `Arc` so one analysis gets one ledger.
 
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
@@ -255,7 +254,7 @@ pub fn find_accepted_word<A: LazyDfa>(a: &A) -> Result<Option<Vec<Sym>>, Exhaust
 }
 
 /// [`find_accepted_word`] without budget cooperation, for callers that must
-/// stay infallible (legacy `ops` entry points, tests).
+/// stay infallible (the [`crate::ops`] decision procedures, tests).
 pub(crate) fn find_accepted_word_unbudgeted<A: LazyDfa>(a: &A) -> Option<Vec<Sym>> {
     search(a, false).expect("unbudgeted search cannot exhaust")
 }
@@ -412,15 +411,8 @@ pub(crate) fn dfa_disjoint_unbudgeted(a: &Dfa, b: &Dfa) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Engine selection and counters.
+// Counters.
 // ---------------------------------------------------------------------------
-
-/// Whether `BLAZER_AUTOMATA=classic` selects the eager
-/// materialize-and-minimize engine (read fresh on every call, so tests can
-/// flip it without process restarts).
-pub fn classic_mode() -> bool {
-    std::env::var("BLAZER_AUTOMATA").is_ok_and(|v| v.trim() == "classic")
-}
 
 /// A snapshot of the antichain engine's work counters for one analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -430,9 +422,6 @@ pub struct AntichainStats {
     /// Candidate macro-states discarded (or live states killed) by
     /// ⊆-domination.
     pub antichain_prunes: u64,
-    /// Decision-procedure calls routed to the classic eager engine
-    /// (nonzero only under `BLAZER_AUTOMATA=classic`).
-    pub classic_fallbacks: u64,
 }
 
 /// The shared, thread-safe counter ledger behind [`AntichainStats`].
@@ -442,7 +431,6 @@ pub struct AntichainStats {
 pub struct StatsCollector {
     explored: AtomicU64,
     prunes: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl StatsCollector {
@@ -463,7 +451,6 @@ impl StatsCollector {
         AntichainStats {
             macro_states_explored: self.explored.load(Ordering::Relaxed),
             antichain_prunes: self.prunes.load(Ordering::Relaxed),
-            classic_fallbacks: self.fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -488,13 +475,6 @@ thread_local! {
 /// threads (which `install` it themselves). `None` when none is installed.
 pub fn stats_handle() -> Option<Arc<StatsCollector>> {
     ACTIVE_STATS.with(|a| a.borrow().clone())
-}
-
-/// Records one decision-procedure call routed to the classic engine.
-pub fn note_classic_fallback() {
-    with_stats(|s| {
-        s.fallbacks.fetch_add(1, Ordering::Relaxed);
-    });
 }
 
 fn note_explored(n: u64) {
@@ -642,20 +622,20 @@ mod tests {
         {
             let inner = StatsCollector::new();
             let _inner_guard = inner.install();
-            note_classic_fallback();
-            assert_eq!(inner.snapshot().classic_fallbacks, 1);
+            note_explored(3);
+            assert_eq!(inner.snapshot().macro_states_explored, 3);
         }
         // Outer ledger restored; a worker thread lands on the same ledger.
         let handle = stats_handle().expect("ledger installed");
         std::thread::scope(|s| {
             s.spawn(move || {
                 let _g = handle.install();
-                note_classic_fallback();
+                note_explored(5);
             });
         });
         let snap = outer.snapshot();
-        assert_eq!(snap.classic_fallbacks, 1);
-        assert_eq!(snap.macro_states_explored, 0);
+        assert_eq!(snap.macro_states_explored, 5);
+        assert_eq!(snap.antichain_prunes, 0);
     }
 
     #[test]
@@ -666,16 +646,6 @@ mod tests {
         assert_eq!(err.resource, Resource::WallClock);
         // The unbudgeted path stays infallible under the same dead budget.
         assert!(find_accepted_word_unbudgeted(&NfaView::new(&a)).is_some());
-    }
-
-    #[test]
-    fn classic_mode_reads_the_environment_fresh() {
-        // Process-global env var: restore immediately. Other automata tests
-        // do not read it, so this is race-benign within this crate.
-        std::env::set_var("BLAZER_AUTOMATA", "classic");
-        assert!(classic_mode());
-        std::env::remove_var("BLAZER_AUTOMATA");
-        assert!(!classic_mode());
     }
 
     mod prop {

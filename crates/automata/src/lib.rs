@@ -13,8 +13,8 @@
 //!   Moore minimization;
 //! * [`ops`] — product constructions, emptiness, inclusion, equivalence;
 //! * [`antichain`] — on-the-fly decision procedures over *lazy* automata
-//!   with antichain pruning (the default engine behind the [`ops`] yes/no
-//!   questions; set `BLAZER_AUTOMATA=classic` for the eager product engine);
+//!   with antichain pruning (the engine behind every yes/no question,
+//!   including the [`ops`] ones);
 //! * [`kleene`] — conversion of a labeled graph into a regular expression by
 //!   state elimination (used to build the *most general trail* of a CFG).
 //!

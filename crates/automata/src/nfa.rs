@@ -117,37 +117,6 @@ impl Nfa {
         self.trans[from].push((sym, to));
     }
 
-    /// States from which some accepting state is reachable (via labeled or
-    /// ε-transitions). A subset state of an on-demand determinization is
-    /// *live* — can still complete to an accepted word — iff it contains a
-    /// coaccessible state.
-    pub fn coaccessible(&self) -> Vec<bool> {
-        let n = self.n_states();
-        let mut rev = vec![Vec::new(); n];
-        for q in 0..n {
-            for &(_, t) in &self.trans[q] {
-                rev[t].push(q);
-            }
-            for &t in &self.eps[q] {
-                rev[t].push(q);
-            }
-        }
-        let mut live = vec![false; n];
-        let mut stack: Vec<usize> = self.accepting.iter().copied().collect();
-        for &q in &stack {
-            live[q] = true;
-        }
-        while let Some(q) = stack.pop() {
-            for &p in &rev[q] {
-                if !live[p] {
-                    live[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        live
-    }
-
     /// Marks a state as accepting.
     pub fn set_accepting(&mut self, q: usize) {
         self.accepting.insert(q);

@@ -4,9 +4,8 @@
 //! product DFA, with `try_` variants that cooperate with the installed
 //! `blazer_ir::budget`. The *decision procedures*
 //! (`included`/`equivalent`/`disjoint`/`counterexample`) answer on the fly
-//! through [`crate::antichain`] without ever building the product — unless
-//! `BLAZER_AUTOMATA=classic` routes them back to the eager engine for A/B
-//! comparison (each such call is counted as a classic fallback).
+//! through [`crate::antichain`] without ever building the product; the
+//! budgeted forms are the `antichain::dfa_*` functions.
 
 use crate::antichain;
 use crate::dfa::{Dfa, BUDGET_POLL_PERIOD};
@@ -128,25 +127,9 @@ pub fn try_difference(a: &Dfa, b: &Dfa) -> Result<Dfa, Exhausted> {
     try_product(a, b, Combine::AndNot)
 }
 
-/// Whether `L(a) ⊆ L(b)`. On the fly via the antichain engine (classic
-/// difference-and-test under `BLAZER_AUTOMATA=classic`).
+/// Whether `L(a) ⊆ L(b)`, on the fly via the antichain engine.
 pub fn included(a: &Dfa, b: &Dfa) -> bool {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        difference(a, b).is_empty()
-    } else {
-        antichain::dfa_counterexample_unbudgeted(a, b).is_none()
-    }
-}
-
-/// [`included`] cooperating with the installed budget.
-pub fn try_included(a: &Dfa, b: &Dfa) -> Result<bool, Exhausted> {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        Ok(try_difference(a, b)?.is_empty())
-    } else {
-        antichain::dfa_included(a, b)
-    }
+    antichain::dfa_counterexample_unbudgeted(a, b).is_none()
 }
 
 /// Whether `L(a) = L(b)`.
@@ -154,52 +137,16 @@ pub fn equivalent(a: &Dfa, b: &Dfa) -> bool {
     included(a, b) && included(b, a)
 }
 
-/// [`equivalent`] cooperating with the installed budget.
-pub fn try_equivalent(a: &Dfa, b: &Dfa) -> Result<bool, Exhausted> {
-    Ok(try_included(a, b)? && try_included(b, a)?)
-}
-
-/// Whether `L(a) ∩ L(b) = ∅`. On the fly via the antichain engine (classic
-/// intersection-and-test under `BLAZER_AUTOMATA=classic`).
+/// Whether `L(a) ∩ L(b) = ∅`, on the fly via the antichain engine.
 pub fn disjoint(a: &Dfa, b: &Dfa) -> bool {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        intersection(a, b).is_empty()
-    } else {
-        antichain::dfa_disjoint_unbudgeted(a, b)
-    }
-}
-
-/// [`disjoint`] cooperating with the installed budget.
-pub fn try_disjoint(a: &Dfa, b: &Dfa) -> Result<bool, Exhausted> {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        Ok(try_intersection(a, b)?.is_empty())
-    } else {
-        antichain::dfa_disjoint(a, b)
-    }
+    antichain::dfa_disjoint_unbudgeted(a, b)
 }
 
 /// A word in `L(a) \ L(b)`, if any (witness for non-inclusion). The
-/// antichain engine early-exits on the first witness; the classic engine
-/// returns the shortest one.
+/// antichain search early-exits on the first witness it generates, so the
+/// word is genuinely in the difference but not necessarily the shortest.
 pub fn counterexample(a: &Dfa, b: &Dfa) -> Option<Vec<Sym>> {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        difference(a, b).example_word()
-    } else {
-        antichain::dfa_counterexample_unbudgeted(a, b)
-    }
-}
-
-/// [`counterexample`] cooperating with the installed budget.
-pub fn try_counterexample(a: &Dfa, b: &Dfa) -> Result<Option<Vec<Sym>>, Exhausted> {
-    if antichain::classic_mode() {
-        antichain::note_classic_fallback();
-        Ok(try_difference(a, b)?.example_word())
-    } else {
-        antichain::dfa_counterexample(a, b)
-    }
+    antichain::dfa_counterexample_unbudgeted(a, b)
 }
 
 #[cfg(test)]

@@ -20,6 +20,6 @@ fn main() {
         "{name}: {} in {:.1}s, {} LP solves",
         outcome.verdict,
         t0.elapsed().as_secs_f64(),
-        blazer_domains::simplex::solve_calls()
+        outcome.budget_report.lp_calls
     );
 }

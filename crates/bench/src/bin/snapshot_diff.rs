@@ -143,8 +143,7 @@ fn main() -> ExitCode {
             }
         }
         // Antichain engine drift is likewise informational: the counters
-        // move with engine-mode changes (classic runs report zeros here)
-        // and with refinement-path changes.
+        // move with refinement-path changes.
         if let (Some(a), Some(b)) = (want.macro_states_explored, got.macro_states_explored) {
             if a != b {
                 let prunes = match (want.antichain_prunes, got.antichain_prunes) {

@@ -82,7 +82,6 @@ impl JsonRow {
                     Json::obj([
                         ("macro_states_explored", Json::from(a.macro_states_explored)),
                         ("antichain_prunes", Json::from(a.antichain_prunes)),
-                        ("classic_fallbacks", Json::from(a.classic_fallbacks)),
                     ])
                 }),
             ),

@@ -63,8 +63,8 @@ pub struct Row {
     /// Per-trail seeding counters (trails seeded vs from-⊥, top-level pass
     /// split, rejected seeds).
     pub seed_stats: SeedStats,
-    /// Antichain automata-engine counters (macro-states explored, prunes,
-    /// classic fallbacks). All zeros for portfolio rows whose winning run
+    /// Antichain automata-engine counters (macro-states explored and
+    /// prunes). All zeros for portfolio rows whose winning run
     /// produced no decomposition outcome.
     pub antichain_stats: AntichainStats,
     /// Which backend won, when the row came from a portfolio race (`None`

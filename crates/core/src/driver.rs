@@ -409,9 +409,8 @@ pub struct AnalysisOutcome {
     /// What incremental fixpoint seeding did (all zeros on the fast path
     /// and when seeding is disabled).
     pub seed_stats: SeedStats,
-    /// What the antichain automata engine did: macro-states explored,
-    /// ⊆-dominated macro-states pruned, and decisions routed to the classic
-    /// eager engine (non-zero only under `BLAZER_AUTOMATA=classic`).
+    /// What the antichain automata engine did: macro-states explored and
+    /// ⊆-dominated macro-states pruned.
     pub antichain_stats: AntichainStats,
     /// The observer cost model this analysis priced costs under. Witness
     /// concretization must measure with the same model, and responses
@@ -501,9 +500,6 @@ struct EvalCtx<'a> {
     cfg: &'a Cfg,
     alphabet: &'a EdgeAlphabet,
     dims: &'a DimMap,
-    /// Build trail product graphs with the eager minimized-DFA pipeline
-    /// instead of the lazy on-demand subset construction.
-    classic: bool,
 }
 
 /// One node's evaluation outcome before it is merged back into the tree.
@@ -566,11 +562,8 @@ impl Blazer {
         };
         // One stats ledger per analysis: the antichain engine's counters
         // accumulate here (worker threads re-install the same collector).
-        // The engine choice is read once so a mid-analysis environment
-        // change cannot mix engines within one run.
         let stats = antichain::StatsCollector::new();
         let _stats_guard = stats.install();
-        let classic = antichain::classic_mode();
         program.validate().map_err(CoreError::InvalidProgram)?;
         let f =
             program.function(func).ok_or_else(|| CoreError::NoSuchFunction(func.to_string()))?;
@@ -614,7 +607,7 @@ impl Blazer {
 
         let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
         let mut star_depth: Vec<usize> = vec![0];
-        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims: &dims, classic };
+        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims: &dims };
         let mut cache = BoundCache::default();
         let width = self.config.effective_threads();
 
@@ -677,7 +670,6 @@ impl Blazer {
                             alphabet.len() as u32,
                             RefineMode::Safe,
                             self.config.max_trail_size,
-                            classic,
                         )
                     })
                 });
@@ -789,7 +781,6 @@ impl Blazer {
                             alphabet.len() as u32,
                             RefineMode::Vulnerable,
                             self.config.max_trail_size,
-                            classic,
                         )
                     })
                 });
@@ -1104,21 +1095,16 @@ impl Blazer {
         node: usize,
         seed: Option<&SeedMap>,
     ) -> EvalOut {
-        let EvalCtx { program, f, cfg, alphabet, dims, classic } = *ctx;
+        let EvalCtx { program, f, cfg, alphabet, dims } = *ctx;
         let graph_key = trail.to_string();
         let cached = graphs.lock().unwrap_or_else(|e| e.into_inner()).get(&graph_key).cloned();
         let graph: Arc<ProductGraph> = match cached {
             Some(g) => g,
             None => {
-                // Both engines materialize the *minimized* DFA here: the
-                // subset product (ProductGraph::try_restricted_lazy)
-                // empirically loses upper-bound precision — duplicated loop
-                // heads inside one SCC weaken the widening-based bounds to
-                // ∞ — so minimization is load-bearing for the product graph
-                // even though the yes/no decision procedures never need it.
-                if classic {
-                    antichain::note_classic_fallback();
-                }
+                // The product graph is built from the *minimized* DFA: a
+                // product over unminimized subset states duplicates loop
+                // heads inside one SCC, which weakens the widening-based
+                // upper bounds to ∞.
                 let built = Dfa::try_from_regex(trail, alphabet.len() as u32)
                     .map(|dfa| ProductGraph::restricted(f, cfg, &dfa.minimize(), alphabet));
                 let g = match built {
@@ -1145,15 +1131,6 @@ impl Blazer {
                         };
                     }
                 };
-                if std::env::var("BLAZER_TRACE_BOUNDS").is_ok() {
-                    eprintln!(
-                        "bounds_for: trail size {} product {}/{} exits {}",
-                        trail.size(),
-                        g.len(),
-                        g.edges().len(),
-                        g.exits().len()
-                    );
-                }
                 // Two workers may race to build the same graph; both arrive
                 // at identical results, so last-writer-wins is benign.
                 graphs
@@ -1226,15 +1203,6 @@ impl Blazer {
             if first_rung {
                 seeded = out.seeded;
                 top_passes = out.top_passes;
-            }
-            if std::env::var("BLAZER_TRACE_BOUNDS").is_ok() {
-                eprintln!(
-                    "  -> [{domain}] lower {:?} upper {:?} (passes {}, seeded {})",
-                    out.result.lower.as_ref().map(|e| e.to_string()),
-                    out.result.upper.as_ref().map(|e| e.to_string()),
-                    out.top_passes,
-                    out.seeded,
-                );
             }
             // Per-thread diff: only overflows absorbed while computing
             // *this* trail's bounds (on this worker) justify a retry.

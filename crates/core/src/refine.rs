@@ -108,19 +108,17 @@ pub fn refine_partition(
 /// `blazer_ir::budget` exhausts mid-split — refinement then simply makes no
 /// progress on this trail, which the driver reports as a degradation.
 ///
-/// With `classic: false` (the default engine) all feasibility questions —
-/// coverage, part non-emptiness, progress — are decided *lazily* through
-/// [`blazer_automata::antichain`] without materializing any product DFA;
-/// only the parts of a split that survives every check are materialized
-/// (they must be converted back to trail regexes anyway). `classic: true`
-/// keeps the original eager product pipeline (`BLAZER_AUTOMATA=classic`).
+/// All feasibility questions — coverage, part non-emptiness, progress — are
+/// decided *lazily* through [`blazer_automata::antichain`] without
+/// materializing any product DFA; only the parts of a split that survives
+/// every check are materialized (they must be converted back to trail
+/// regexes anyway).
 pub fn block_split(
     trail: &Regex,
     branch: &BranchSyms,
     alphabet_size: u32,
     mode: RefineMode,
     max_part_size: usize,
-    classic: bool,
 ) -> Option<Split> {
     use blazer_automata::{antichain, kleene, ops, Dfa, Nfa};
     let eligible = match mode {
@@ -137,83 +135,50 @@ pub fn block_split(
     let with_e1 = contains(branch.then_sym);
     let with_e2 = contains(branch.else_sym);
 
-    let parts_dfa = if classic {
-        antichain::note_classic_fallback();
-        let tr = Dfa::try_from_regex(trail, alphabet_size).ok()?;
-        let d1 = Dfa::try_from_regex(&with_e1, alphabet_size).ok()?;
-        let d2 = Dfa::try_from_regex(&with_e2, alphabet_size).ok()?;
-        let parts_dfa = match mode {
-            RefineMode::Safe => {
-                // Coverage requires that no trace uses both edges.
-                let both =
-                    ops::try_intersection(&tr, &ops::try_intersection(&d1, &d2).ok()?).ok()?;
-                if !both.is_empty() {
-                    return None;
-                }
-                vec![ops::try_difference(&tr, &d2).ok()?, ops::try_difference(&tr, &d1).ok()?]
-            }
-            RefineMode::Vulnerable => {
-                vec![ops::try_intersection(&tr, &d1).ok()?, ops::try_difference(&tr, &d1).ok()?]
-            }
-        };
-        if parts_dfa.iter().any(Dfa::is_empty) {
-            return None; // a degenerate split refines nothing
-        }
-        // No progress when a part equals the parent.
-        for d in &parts_dfa {
-            if ops::try_difference(d, &tr).ok()?.is_empty()
-                && ops::try_difference(&tr, d).ok()?.is_empty()
-            {
+    // Lazy feasibility: every yes/no question collapses to an antichain
+    // emptiness check over NFA views, so infeasible splits are rejected
+    // without ever determinizing or building a product. The algebra:
+    //   tr \ X = ∅   ⟺  tr ⊆ X        (part emptiness)
+    //   tr \ X = tr  ⟺  tr ∩ X = ∅    (no progress)
+    //   tr ∩ X = ∅   ⟺  disjoint      (part emptiness, ∩-part)
+    //   tr ∩ X = tr  ⟺  tr ⊆ X        (no progress, ∩-part)
+    let tr_nfa = Nfa::from_regex(trail, alphabet_size);
+    let e1_nfa = Nfa::from_regex(&with_e1, alphabet_size);
+    let e2_nfa = Nfa::from_regex(&with_e2, alphabet_size);
+    match mode {
+        RefineMode::Safe => {
+            // Coverage requires that no trace uses both edges.
+            if !antichain::nfa_intersect3_empty(&tr_nfa, &e1_nfa, &e2_nfa).ok()? {
                 return None;
             }
-        }
-        parts_dfa
-    } else {
-        // Lazy feasibility: every yes/no question collapses to an antichain
-        // emptiness check over NFA views, so infeasible splits are rejected
-        // without ever determinizing or building a product. The algebra:
-        //   tr \ X = ∅   ⟺  tr ⊆ X        (part emptiness)
-        //   tr \ X = tr  ⟺  tr ∩ X = ∅    (no progress)
-        //   tr ∩ X = ∅   ⟺  disjoint      (part emptiness, ∩-part)
-        //   tr ∩ X = tr  ⟺  tr ⊆ X        (no progress, ∩-part)
-        let tr_nfa = Nfa::from_regex(trail, alphabet_size);
-        let e1_nfa = Nfa::from_regex(&with_e1, alphabet_size);
-        let e2_nfa = Nfa::from_regex(&with_e2, alphabet_size);
-        match mode {
-            RefineMode::Safe => {
-                // Coverage requires that no trace uses both edges.
-                if !antichain::nfa_intersect3_empty(&tr_nfa, &e1_nfa, &e2_nfa).ok()? {
-                    return None;
+            for x in [&e2_nfa, &e1_nfa] {
+                if antichain::nfa_included(&tr_nfa, x).ok()? {
+                    return None; // part tr \ x is empty
                 }
-                for x in [&e2_nfa, &e1_nfa] {
-                    if antichain::nfa_included(&tr_nfa, x).ok()? {
-                        return None; // part tr \ x is empty
-                    }
-                    if antichain::nfa_disjoint(&tr_nfa, x).ok()? {
-                        return None; // part tr \ x equals the parent
-                    }
-                }
-            }
-            RefineMode::Vulnerable => {
-                if antichain::nfa_disjoint(&tr_nfa, &e1_nfa).ok()? {
-                    return None; // "uses e₁" part is empty ("never" = parent)
-                }
-                if antichain::nfa_included(&tr_nfa, &e1_nfa).ok()? {
-                    return None; // "never uses e₁" part is empty ("uses" = parent)
+                if antichain::nfa_disjoint(&tr_nfa, x).ok()? {
+                    return None; // part tr \ x equals the parent
                 }
             }
         }
-        // The split is feasible: materialize only the surviving parts.
-        let tr = Dfa::try_from_regex(trail, alphabet_size).ok()?;
-        let d1 = Dfa::try_from_regex(&with_e1, alphabet_size).ok()?;
-        match mode {
-            RefineMode::Safe => {
-                let d2 = Dfa::try_from_regex(&with_e2, alphabet_size).ok()?;
-                vec![ops::try_difference(&tr, &d2).ok()?, ops::try_difference(&tr, &d1).ok()?]
+        RefineMode::Vulnerable => {
+            if antichain::nfa_disjoint(&tr_nfa, &e1_nfa).ok()? {
+                return None; // "uses e₁" part is empty ("never" = parent)
             }
-            RefineMode::Vulnerable => {
-                vec![ops::try_intersection(&tr, &d1).ok()?, ops::try_difference(&tr, &d1).ok()?]
+            if antichain::nfa_included(&tr_nfa, &e1_nfa).ok()? {
+                return None; // "never uses e₁" part is empty ("uses" = parent)
             }
+        }
+    }
+    // The split is feasible: materialize only the surviving parts.
+    let tr = Dfa::try_from_regex(trail, alphabet_size).ok()?;
+    let d1 = Dfa::try_from_regex(&with_e1, alphabet_size).ok()?;
+    let parts_dfa = match mode {
+        RefineMode::Safe => {
+            let d2 = Dfa::try_from_regex(&with_e2, alphabet_size).ok()?;
+            vec![ops::try_difference(&tr, &d2).ok()?, ops::try_difference(&tr, &d1).ok()?]
+        }
+        RefineMode::Vulnerable => {
+            vec![ops::try_intersection(&tr, &d1).ok()?, ops::try_difference(&tr, &d1).ok()?]
         }
     };
     let parts: Vec<Regex> = parts_dfa
@@ -250,6 +215,45 @@ mod tests {
 
     fn sym(s: u32) -> Regex {
         Regex::symbol(s)
+    }
+
+    /// The eager reference for [`block_split`]: the same feasibility checks
+    /// decided by materializing every product DFA and testing it, returning
+    /// the parts as DFAs. The lazy antichain algebra must agree with it.
+    fn block_split_eager(
+        trail: &Regex,
+        branch: &BranchSyms,
+        alphabet_size: u32,
+        mode: RefineMode,
+    ) -> Option<Vec<Dfa>> {
+        let any =
+            (0..alphabet_size).map(Regex::symbol).reduce(Regex::or).unwrap_or(Regex::Empty).star();
+        let contains =
+            |sym| Dfa::from_regex(&any.clone().then(sym).then(any.clone()), alphabet_size);
+        let tr = Dfa::from_regex(trail, alphabet_size);
+        let d1 = contains(Regex::symbol(branch.then_sym));
+        let d2 = contains(Regex::symbol(branch.else_sym));
+        let parts = match mode {
+            RefineMode::Safe => {
+                // Coverage requires that no trace uses both edges.
+                if !ops::intersection(&tr, &ops::intersection(&d1, &d2)).is_empty() {
+                    return None;
+                }
+                vec![ops::difference(&tr, &d2), ops::difference(&tr, &d1)]
+            }
+            RefineMode::Vulnerable => vec![ops::intersection(&tr, &d1), ops::difference(&tr, &d1)],
+        };
+        if parts.iter().any(Dfa::is_empty) {
+            return None; // a degenerate split refines nothing
+        }
+        // No progress when a part equals the parent.
+        if parts
+            .iter()
+            .any(|d| ops::difference(d, &tr).is_empty() && ops::difference(&tr, d).is_empty())
+        {
+            return None;
+        }
+        Some(parts)
     }
 
     /// The union of the parts must cover the parent's language (the
@@ -331,19 +335,16 @@ mod tests {
     #[test]
     fn block_split_safe_mode_partitions_once_executed_branch() {
         // 0·(1·2 | 3·4): branch edges {1, 3} are used at most once per
-        // trace, so the safe block split applies and covers. Both the lazy
-        // antichain engine and the classic product engine must agree.
+        // trace, so the safe block split applies and covers.
         let r = sym(0).then(sym(1).then(sym(2)).or(sym(3).then(sym(4))));
         let b = BranchSyms { then_sym: 1, else_sym: 3, taint: Taint::LOW };
-        for classic in [false, true] {
-            let split = block_split(&r, &b, 5, RefineMode::Safe, 10_000, classic).expect("applies");
-            assert_eq!(split.parts.len(), 2);
-            assert_covers(&r, &split.parts, 5);
-            let d0 = Dfa::from_regex(&split.parts[0], 5);
-            let d1 = Dfa::from_regex(&split.parts[1], 5);
-            assert!(d0.accepts(&[0, 1, 2]) && !d0.accepts(&[0, 3, 4]));
-            assert!(d1.accepts(&[0, 3, 4]) && !d1.accepts(&[0, 1, 2]));
-        }
+        let split = block_split(&r, &b, 5, RefineMode::Safe, 10_000).expect("applies");
+        assert_eq!(split.parts.len(), 2);
+        assert_covers(&r, &split.parts, 5);
+        let d0 = Dfa::from_regex(&split.parts[0], 5);
+        let d1 = Dfa::from_regex(&split.parts[1], 5);
+        assert!(d0.accepts(&[0, 1, 2]) && !d0.accepts(&[0, 3, 4]));
+        assert!(d1.accepts(&[0, 3, 4]) && !d1.accepts(&[0, 1, 2]));
     }
 
     #[test]
@@ -352,9 +353,7 @@ mod tests {
         // so a covering block split is impossible.
         let r = sym(1).then(sym(2)).star().then(sym(3));
         let b = BranchSyms { then_sym: 1, else_sym: 3, taint: Taint::LOW };
-        for classic in [false, true] {
-            assert!(block_split(&r, &b, 4, RefineMode::Safe, 10_000, classic).is_none());
-        }
+        assert!(block_split(&r, &b, 4, RefineMode::Safe, 10_000).is_none());
     }
 
     #[test]
@@ -362,16 +361,13 @@ mod tests {
         // The Fig. 1 tr3/tr4 shape: "can take the early exit" vs "cannot".
         let r = sym(0).or(sym(1)).star().then(sym(2));
         let b = BranchSyms { then_sym: 0, else_sym: 1, taint: Taint::HIGH };
-        for classic in [false, true] {
-            let split =
-                block_split(&r, &b, 3, RefineMode::Vulnerable, 10_000, classic).expect("applies");
-            let uses = Dfa::from_regex(&split.parts[0], 3);
-            let never = Dfa::from_regex(&split.parts[1], 3);
-            assert!(uses.accepts(&[0, 2]) && uses.accepts(&[1, 0, 2]));
-            assert!(!uses.accepts(&[1, 1, 2]));
-            assert!(never.accepts(&[2]) && never.accepts(&[1, 1, 2]));
-            assert!(!never.accepts(&[0, 2]));
-        }
+        let split = block_split(&r, &b, 3, RefineMode::Vulnerable, 10_000).expect("applies");
+        let uses = Dfa::from_regex(&split.parts[0], 3);
+        let never = Dfa::from_regex(&split.parts[1], 3);
+        assert!(uses.accepts(&[0, 2]) && uses.accepts(&[1, 0, 2]));
+        assert!(!uses.accepts(&[1, 1, 2]));
+        assert!(never.accepts(&[2]) && never.accepts(&[1, 1, 2]));
+        assert!(!never.accepts(&[0, 2]));
     }
 
     #[test]
@@ -380,12 +376,10 @@ mod tests {
         let high = BranchSyms { then_sym: 0, else_sym: 1, taint: Taint::HIGH };
         let low = BranchSyms { then_sym: 0, else_sym: 1, taint: Taint::LOW };
         let both = BranchSyms { then_sym: 0, else_sym: 1, taint: Taint::BOTH };
-        for classic in [false, true] {
-            assert!(block_split(&r, &high, 2, RefineMode::Safe, 10_000, classic).is_none());
-            assert!(block_split(&r, &both, 2, RefineMode::Safe, 10_000, classic).is_none());
-            assert!(block_split(&r, &low, 2, RefineMode::Vulnerable, 10_000, classic).is_none());
-            assert!(block_split(&r, &both, 2, RefineMode::Vulnerable, 10_000, classic).is_some());
-        }
+        assert!(block_split(&r, &high, 2, RefineMode::Safe, 10_000).is_none());
+        assert!(block_split(&r, &both, 2, RefineMode::Safe, 10_000).is_none());
+        assert!(block_split(&r, &low, 2, RefineMode::Vulnerable, 10_000).is_none());
+        assert!(block_split(&r, &both, 2, RefineMode::Vulnerable, 10_000).is_some());
     }
 
     #[test]
@@ -394,16 +388,14 @@ mod tests {
         // parts equal the parent (or are empty) — no split.
         let r = sym(2).then(sym(2));
         let b = BranchSyms { then_sym: 0, else_sym: 1, taint: Taint::LOW };
-        for classic in [false, true] {
-            assert!(block_split(&r, &b, 3, RefineMode::Safe, 10_000, classic).is_none());
-        }
+        assert!(block_split(&r, &b, 3, RefineMode::Safe, 10_000).is_none());
     }
 
     #[test]
     fn block_split_engines_produce_equivalent_parts() {
-        // The lazy and classic engines must produce language-identical
-        // parts in the same order (feasibility algebra + shared
-        // materialization path).
+        // The lazy feasibility algebra must accept exactly the splits the
+        // eager reference accepts, with language-identical parts in the
+        // same order.
         let cases = [
             (sym(0).then(sym(1).then(sym(2)).or(sym(3).then(sym(4)))), 1u32, 3u32, 5u32),
             (sym(0).or(sym(1)).star().then(sym(2)), 0, 1, 3),
@@ -414,19 +406,18 @@ mod tests {
                 [(RefineMode::Safe, Taint::LOW), (RefineMode::Vulnerable, Taint::HIGH)]
             {
                 let b = BranchSyms { then_sym: e1, else_sym: e2, taint };
-                let lazy = block_split(&r, &b, alpha, mode, 10_000, false);
-                let classic = block_split(&r, &b, alpha, mode, 10_000, true);
-                match (&lazy, &classic) {
+                let lazy = block_split(&r, &b, alpha, mode, 10_000);
+                let eager = block_split_eager(&r, &b, alpha, mode);
+                match (&lazy, &eager) {
                     (None, None) => {}
-                    (Some(l), Some(c)) => {
-                        assert_eq!(l.parts.len(), c.parts.len());
-                        for (lp, cp) in l.parts.iter().zip(&c.parts) {
+                    (Some(l), Some(e)) => {
+                        assert_eq!(l.parts.len(), e.len());
+                        for (lp, ed) in l.parts.iter().zip(e) {
                             let ld = Dfa::from_regex(lp, alpha);
-                            let cd = Dfa::from_regex(cp, alpha);
-                            assert!(ops::equivalent(&ld, &cd), "parts diverge for {r}");
+                            assert!(ops::equivalent(&ld, ed), "parts diverge for {r}");
                         }
                     }
-                    _ => panic!("engines disagree on applicability for {r} in {mode:?}"),
+                    _ => panic!("lazy and eager disagree on applicability for {r} in {mode:?}"),
                 }
             }
         }

@@ -164,14 +164,6 @@ impl Simplex {
     }
 }
 
-/// Global LP call counter (diagnostics; read with [`solve_calls`]).
-pub static SOLVE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Number of LP solves since process start.
-pub fn solve_calls() -> u64 {
-    SOLVE_CALLS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// The universally sound degraded answer: "unbounded" makes `feasible` answer
 /// true, `entails` answer false, and `bounds` answer "no bound" — each an
 /// over-approximation of whatever the exact solve would have said.
@@ -181,7 +173,6 @@ fn degraded(reason: &str) -> LpResult {
 }
 
 fn solve(objective: &LinExpr, constraints: &[Constraint], _maximize: bool) -> LpResult {
-    SOLVE_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     if blazer_ir::budget::consume_lp_call().is_err() {
         return degraded("LP call denied by exhausted budget");
     }

@@ -83,7 +83,6 @@ pub fn outcome_json(program: &Program, outcome: &AnalysisOutcome, wall_s: f64) -
                     Json::from(outcome.antichain_stats.macro_states_explored),
                 ),
                 ("antichain_prunes", Json::from(outcome.antichain_stats.antichain_prunes)),
-                ("classic_fallbacks", Json::from(outcome.antichain_stats.classic_fallbacks)),
             ]),
         ),
         ("budget", budget_json(&outcome.budget_report)),
@@ -217,9 +216,8 @@ mod tests {
                 .and_then(|s| s.get("trails_unseeded"))
                 .and_then(Json::as_u64)
                 .is_some_and(|n| n >= 1));
-            // The antichain counters are present (exact values depend on
-            // the engine mode, so only shape is asserted).
-            for key in ["macro_states_explored", "antichain_prunes", "classic_fallbacks"] {
+            // The antichain counters are present (only shape is asserted).
+            for key in ["macro_states_explored", "antichain_prunes"] {
                 assert!(doc
                     .get("antichain")
                     .and_then(|a| a.get(key))

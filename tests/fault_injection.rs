@@ -122,35 +122,35 @@ fn automata_phase_cooperates_with_an_exhausted_budget() {
     assert!(Dfa::try_from_regex(&r, 2).is_err(), "subset construction ignored the deadline");
     assert!(ops::try_intersection(&a, &b).is_err(), "eager product ignored the deadline");
     assert!(kleene::try_dfa_to_regex(&a).is_err(), "state elimination ignored the deadline");
-    assert!(ops::try_included(&a, &b).is_err(), "antichain inclusion ignored the deadline");
+    assert!(antichain::dfa_included(&a, &b).is_err(), "antichain inclusion ignored the deadline");
     assert!(antichain::nfa_is_empty(&nfa).is_err(), "antichain emptiness ignored the deadline");
 }
 
 #[test]
 fn dead_deadline_is_sound_in_both_automata_engine_modes() {
     let _env = env_guard();
-    // End to end: with the whole analysis under a dead deadline, both
-    // automata engines (antichain default and `BLAZER_AUTOMATA=classic`)
-    // absorb the exhaustion identically — a budget-Unknown verdict, never
-    // a panic and never Safe for the leaky program.
-    for mode in [None, Some("classic")] {
-        match mode {
-            Some(m) => std::env::set_var("BLAZER_AUTOMATA", m),
-            None => std::env::remove_var("BLAZER_AUTOMATA"),
-        }
+    // End to end: with the whole analysis under a dead deadline, the
+    // antichain engine (the only automata engine left) absorbs the
+    // exhaustion — a budget-Unknown verdict, never a panic and never Safe
+    // for the leaky program — and does so identically on every run.
+    let run = || {
         let fault = FaultSpec { deadline: Some(Duration::ZERO), ..FaultSpec::default() };
-        let out = analyze_with(Budget::unlimited().with_fault(fault));
-        std::env::remove_var("BLAZER_AUTOMATA");
-        assert!(
-            matches!(
-                out.verdict,
-                Verdict::Unknown(UnknownReason::BudgetExhausted(Resource::WallClock))
-            ),
-            "mode {mode:?}: verdict: {}",
-            out.verdict
-        );
-        assert_eq!(out.budget_report.exhausted, Some(Resource::WallClock));
-    }
+        analyze_with(Budget::unlimited().with_fault(fault))
+    };
+    let out = run();
+    assert!(
+        matches!(
+            out.verdict,
+            Verdict::Unknown(UnknownReason::BudgetExhausted(Resource::WallClock))
+        ),
+        "verdict: {}",
+        out.verdict
+    );
+    assert!(!out.verdict.is_safe(), "unsound verdict: {}", out.verdict);
+    assert_eq!(out.budget_report.exhausted, Some(Resource::WallClock));
+    let again = run();
+    assert_eq!(again.verdict.to_string(), out.verdict.to_string());
+    assert_eq!(again.antichain_stats, out.antichain_stats);
 }
 
 #[test]
