@@ -13,7 +13,9 @@
 //! human to re-commit the snapshot deliberately. Rows must also agree on
 //! the observer cost model they were priced under (comparing verdicts
 //! across models is a setup error); leakage drift under a stable verdict
-//! is informational, like the counters.
+//! is informational, like the counters. Leakage *polarity* is not: a
+//! `safe` row in either snapshot must report exactly 0 bits and an
+//! `attack` row at least 1 bit, or the diff fails.
 
 use blazer_ir::json::Json;
 use std::process::ExitCode;
@@ -30,8 +32,23 @@ struct RowView {
     /// Observer cost model the row was priced under (absent in snapshots
     /// predating pluggable models, which were always unit-priced).
     cost_model: Option<String>,
-    /// Quantified leakage under the row's cost model (portfolio rows only).
+    /// Quantified leakage under the row's cost model (absent in snapshots
+    /// predating per-verdict leakage).
     leakage_bits: Option<f64>,
+}
+
+impl RowView {
+    /// The row's leakage when it contradicts its verdict: a proof of
+    /// safety leaks nothing, and an attack distinguishes at least two
+    /// cost classes. Verdicts that gave up are not gated.
+    fn contradicting_leakage(&self) -> Option<f64> {
+        let bits = self.leakage_bits?;
+        match self.verdict.as_str() {
+            "safe" if bits != 0.0 => Some(bits),
+            "attack" if bits < 1.0 => Some(bits),
+            _ => None,
+        }
+    }
 }
 
 fn load(path: &str) -> Result<Vec<RowView>, String> {
@@ -94,6 +111,17 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     let mut perf_moves = 0usize;
+    for (path, rows) in [(&committed_path, &committed), (&fresh_path, &fresh)] {
+        for row in rows {
+            if let Some(bits) = row.contradicting_leakage() {
+                println!(
+                    "LEAKAGE   {:<22} {} with {bits:.3} bits in {path}",
+                    row.name, row.verdict
+                );
+                failures += 1;
+            }
+        }
+    }
     for want in &committed {
         let Some(got) = fresh.iter().find(|r| r.name == want.name) else {
             println!("MISSING   {:<22} absent from {fresh_path}", want.name);

@@ -21,10 +21,9 @@
 //! thread count, so the perf trajectory is trackable across commits:
 //! compare `BLAZER_THREADS=1` against `BLAZER_THREADS=4` runs.
 
-use blazer_bench::{backend_from_env, config_for, try_run_benchmark_with_backend, Row};
+use blazer_bench::{config_for, try_run_benchmark, Row};
 use blazer_core::{AntichainStats, SeedStats, Verdict};
 use blazer_ir::json::Json;
-use blazer_portfolio::Backend;
 use blazer_serve::pool;
 use std::time::Instant;
 
@@ -43,10 +42,7 @@ struct JsonRow {
     /// counters. Wall times are noisy across machines; these are the
     /// numbers the snapshot diff can trust.
     counters: Option<(u64, SeedStats, AntichainStats)>,
-    /// Winning backend of a portfolio run (`None` for plain decomposition
-    /// runs, crash rows, and undecided races).
-    winner: Option<&'static str>,
-    /// Quantified leakage in bits (`None` outside portfolio runs).
+    /// Quantified leakage in bits (`None` for crash rows).
     leakage_bits: Option<f64>,
     /// Observer cost model the row was priced under (table-wide; set with
     /// `BLAZER_COST_MODEL`, default `unit`).
@@ -85,7 +81,6 @@ impl JsonRow {
                     ])
                 }),
             ),
-            ("winner", self.winner.map(Json::from).unwrap_or(Json::Null)),
             ("leakage_bits", self.leakage_bits.map(Json::Num).unwrap_or(Json::Null)),
             ("cost_model", Json::from(self.cost_model.as_str())),
         ])
@@ -120,10 +115,6 @@ fn main() {
         .map(|s| s.split(',').map(|p| p.trim().to_string()).collect());
     // All groups share the same width policy; report what the analyses use.
     let threads = config_for(blazer_benchmarks::Group::MicroBench).effective_threads();
-    let backend = backend_from_env();
-    if backend != Backend::Decomp {
-        println!("backend: {backend} (BLAZER_BACKEND)");
-    }
     // The model is table-wide (config_for applies the same BLAZER_COST_MODEL
     // override to every group), but recorded per row so snapshot diffs can
     // refuse to compare rows priced under different observers.
@@ -146,7 +137,7 @@ fn main() {
     );
     let started = Instant::now();
     let results: Vec<Result<Row, String>> =
-        pool::scoped_map(&selected, jobs, |_, b| try_run_benchmark_with_backend(b, runs, backend));
+        pool::scoped_map(&selected, jobs, |_, b| try_run_benchmark(b, runs));
     let mut all_match = true;
     let mut crashes = 0usize;
     let mut group = None;
@@ -174,7 +165,6 @@ fn main() {
                     safety_s: None,
                     with_attack_s: None,
                     counters: None,
-                    winner: None,
                     leakage_bits: None,
                     cost_model: cost_model.clone(),
                 });
@@ -192,19 +182,15 @@ fn main() {
             .unwrap_or_else(|| "-".to_string());
         let ok = row.matches_paper();
         all_match &= ok;
-        let annotation = match (row.winner, row.leakage_bits) {
-            (Some(w), Some(bits)) => format!("  [winner {w}, {bits:.2} bits]"),
-            (None, Some(bits)) => format!("  [no winner, {bits:.2} bits]"),
-            _ => String::new(),
-        };
         println!(
-            "{:<22} {:>5} {:>12.2} {:>12}   {:<8} {}{annotation}",
+            "{:<22} {:>5} {:>12.2} {:>12}   {:<8} {}  [{:.2} bits]",
             row.name,
             row.size,
             row.safety_time.as_secs_f64(),
             attack_time,
             verdict,
-            if ok { "yes" } else { "NO" }
+            if ok { "yes" } else { "NO" },
+            row.leakage_bits
         );
         json_rows.push(JsonRow {
             name: row.name.to_string(),
@@ -215,8 +201,7 @@ fn main() {
             safety_s: Some(row.safety_time.as_secs_f64()),
             with_attack_s: row.with_attack_time.map(|d| d.as_secs_f64()),
             counters: Some((row.fixpoint_passes, row.seed_stats, row.antichain_stats)),
-            winner: row.winner,
-            leakage_bits: row.leakage_bits,
+            leakage_bits: Some(row.leakage_bits),
             cost_model: cost_model.clone(),
         });
     }

@@ -8,15 +8,7 @@
 
 use blazer_benchmarks::{Benchmark, Expected, Group};
 use blazer_core::{AnalysisOutcome, AntichainStats, Blazer, Config, SeedStats, Verdict};
-use blazer_portfolio::{analyze_portfolio, Backend, PortfolioReport};
 use std::time::Duration;
-
-/// The table-wide backend selection: `BLAZER_BACKEND=portfolio` (or
-/// `selfcomp`, for completeness) switches `table1` away from the default
-/// decomposition driver. Unset or unrecognized values mean decomp.
-pub fn backend_from_env() -> Backend {
-    std::env::var("BLAZER_BACKEND").ok().and_then(|s| s.parse().ok()).unwrap_or(Backend::Decomp)
-}
 
 /// The analysis configuration for a benchmark group (the two observer
 /// models of Sec. 6.1).
@@ -64,15 +56,10 @@ pub struct Row {
     /// split, rejected seeds).
     pub seed_stats: SeedStats,
     /// Antichain automata-engine counters (macro-states explored and
-    /// prunes). All zeros for portfolio rows whose winning run
-    /// produced no decomposition outcome.
+    /// prunes).
     pub antichain_stats: AntichainStats,
-    /// Which backend won, when the row came from a portfolio race (`None`
-    /// for plain decomposition rows and undecided races).
-    pub winner: Option<&'static str>,
-    /// Quantified leakage in bits under the group's observer (`None` for
-    /// plain decomposition rows).
-    pub leakage_bits: Option<f64>,
+    /// Quantified leakage in bits under the group's observer.
+    pub leakage_bits: f64,
 }
 
 impl Row {
@@ -105,59 +92,10 @@ pub fn run_benchmark(b: &Benchmark, runs: usize) -> Row {
         fixpoint_passes: o.budget_report.fixpoint_passes,
         seed_stats: o.seed_stats,
         antichain_stats: o.antichain_stats,
+        leakage_bits: o.leakage.bits,
         verdict: o.verdict,
         expected: b.expected,
         safety_time: o.safety_time,
-        winner: None,
-        leakage_bits: None,
-    }
-}
-
-/// Analyzes one benchmark `runs` times under the portfolio race (the
-/// decomposition driver vs the self-composition baseline on one shared
-/// budget) and reports the median-wall-time run with its winner and
-/// quantified leakage.
-pub fn run_benchmark_portfolio(b: &Benchmark, runs: usize) -> Row {
-    let program = b.compile();
-    let config = config_for(b.group);
-    let mut reports: Vec<PortfolioReport> = (0..runs.max(1))
-        .map(|_| analyze_portfolio(&program, b.function, &config).expect("benchmark analyzes"))
-        .collect();
-    reports.sort_by_key(|r| r.wall);
-    let r = reports.swap_remove(reports.len() / 2);
-    let (size, safety_time, with_attack_time, seed_stats, antichain_stats) = match &r.outcome {
-        Some(o) => (
-            o.n_blocks,
-            o.safety_time,
-            o.attack_time.map(|a| o.safety_time + a),
-            o.seed_stats,
-            o.antichain_stats,
-        ),
-        None => (0, r.wall, None, SeedStats::default(), AntichainStats::default()),
-    };
-    Row {
-        name: b.name,
-        group: b.group,
-        size,
-        verdict: r.verdict,
-        expected: b.expected,
-        safety_time,
-        with_attack_time,
-        fixpoint_passes: r.budget_report.fixpoint_passes,
-        seed_stats,
-        antichain_stats,
-        winner: r.winner.map(Backend::as_str),
-        leakage_bits: Some(r.leakage.bits),
-    }
-}
-
-/// [`run_benchmark`] or [`run_benchmark_portfolio`] by backend selection.
-/// `Selfcomp` alone has no Table-1 row shape of its own; it is reported
-/// through the portfolio path (where its verdict soundness is handled).
-pub fn run_benchmark_with_backend(b: &Benchmark, runs: usize, backend: Backend) -> Row {
-    match backend {
-        Backend::Decomp => run_benchmark(b, runs),
-        Backend::Selfcomp | Backend::Portfolio => run_benchmark_portfolio(b, runs),
     }
 }
 
@@ -165,19 +103,7 @@ pub fn run_benchmark_with_backend(b: &Benchmark, runs: usize, backend: Backend) 
 /// bugs) so one crashing benchmark cannot abort a whole table run. Returns
 /// the panic payload as the error.
 pub fn try_run_benchmark(b: &Benchmark, runs: usize) -> Result<Row, String> {
-    try_run_benchmark_with_backend(b, runs, Backend::Decomp)
-}
-
-/// [`try_run_benchmark`] with an explicit backend selection.
-pub fn try_run_benchmark_with_backend(
-    b: &Benchmark,
-    runs: usize,
-    backend: Backend,
-) -> Result<Row, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_benchmark_with_backend(b, runs, backend)
-    }))
-    .map_err(|payload| {
+    std::panic::catch_unwind(|| run_benchmark(b, runs)).map_err(|payload| {
         payload
             .downcast_ref::<String>()
             .cloned()
@@ -216,8 +142,7 @@ mod tests {
             fixpoint_passes: 0,
             seed_stats: SeedStats::default(),
             antichain_stats: AntichainStats::default(),
-            winner: None,
-            leakage_bits: None,
+            leakage_bits: 0.0,
         };
         let unknown = || Verdict::Unknown(blazer_core::UnknownReason::SearchExhausted);
         assert!(row(Verdict::Safe, Expected::Safe).matches_paper());

@@ -2,6 +2,7 @@
 //! then with `CheckAttack`.
 
 use crate::attack::AttackSpec;
+use crate::leakage::{self, Leakage};
 use crate::mgt::most_general_trail;
 use crate::refine::{block_split, refine_partition, RefineMode};
 use crate::trail::BranchSyms;
@@ -100,15 +101,6 @@ pub struct Config {
     /// builds every seeded result is checked against a from-⊥ rerun and
     /// rejected (with a from-⊥ fallback) if it differs.
     pub seed_fixpoints: bool,
-    /// When `true`, [`Blazer::analyze`] draws against the budget ledger
-    /// already installed on the calling thread (if any) instead of
-    /// installing a fresh one from [`Config::budget`]. This is how a
-    /// portfolio scheduler races several backends against one shared
-    /// ledger: workers install a [`blazer_ir::budget::BudgetHandle`] and
-    /// run the driver with this flag, so caps stay globally enforced and a
-    /// revocation of the shared ledger cancels the run cooperatively.
-    /// Defaults to `false`: a plain analysis is always isolated.
-    pub use_ambient_budget: bool,
 }
 
 impl Config {
@@ -125,7 +117,6 @@ impl Config {
             budget: Budget::unlimited(),
             threads: None,
             seed_fixpoints: true,
-            use_ambient_budget: false,
         }
     }
 
@@ -147,11 +138,10 @@ impl Config {
         self
     }
 
-    /// Builder-style observer cost-model override. Every backend — the
-    /// decomposition driver, the self-composition baseline, and the
-    /// concrete interpreter used for witness concretization — derives its
-    /// pricing from this one field, so a portfolio race always prices a
-    /// program identically across racers.
+    /// Builder-style observer cost-model override. The decomposition
+    /// driver, the self-composition baseline, and the concrete interpreter
+    /// used for witness concretization all derive their pricing from this
+    /// one field, so every layer prices a program identically.
     pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
         self
@@ -191,14 +181,6 @@ impl Config {
     /// fixpoint starts from ⊥, the pre-seeding behavior).
     pub fn with_seeding(mut self, seed_fixpoints: bool) -> Self {
         self.seed_fixpoints = seed_fixpoints;
-        self
-    }
-
-    /// Builder-style ambient-budget mode: the analysis consumes against the
-    /// ledger already installed on the calling thread instead of installing
-    /// its own (see [`Config::use_ambient_budget`]).
-    pub fn with_ambient_budget(mut self) -> Self {
-        self.use_ambient_budget = true;
         self
     }
 
@@ -416,6 +398,10 @@ pub struct AnalysisOutcome {
     /// concretization must measure with the same model, and responses
     /// surface it so cached verdicts are attributable.
     pub cost_model: CostModel,
+    /// Quantified leakage of the final partition under the configured
+    /// observer (see [`crate::leakage`]): 0 bits when `Safe`, at least 1
+    /// bit when `Attack`.
+    pub leakage: Leakage,
 }
 
 impl AnalysisOutcome {
@@ -540,7 +526,9 @@ impl Blazer {
     }
 
     /// Analyzes `func` within `program` per Fig. 2: prove safety, else
-    /// synthesize an attack specification, else give up.
+    /// synthesize an attack specification, else give up. The outcome's
+    /// [`Leakage`] is measured once, on the final partition, under
+    /// [`Config::observer`].
     ///
     /// # Errors
     ///
@@ -548,22 +536,26 @@ impl Blazer {
     /// missing.
     pub fn analyze(&self, program: &Program, func: &str) -> Result<AnalysisOutcome, CoreError> {
         // The budget governs everything downstream of this point; the guard
-        // restores any previously installed budget on every return path. In
-        // ambient mode the analysis joins the caller's already-installed
-        // shared ledger (portfolio racing) instead of isolating itself; with
-        // nothing installed, the configured budget applies as usual.
-        let _budget_guard = if self.config.use_ambient_budget {
-            match budget::handle() {
-                Some(ambient) => ambient.install(),
-                None => self.config.budget.install(),
-            }
-        } else {
-            self.config.budget.install()
-        };
+        // restores any previously installed budget on every return path.
+        let _budget_guard = self.config.budget.install();
         // One stats ledger per analysis: the antichain engine's counters
         // accumulate here (worker threads re-install the same collector).
         let stats = antichain::StatsCollector::new();
         let _stats_guard = stats.install();
+        let mut outcome = self.decide(program, func, &stats)?;
+        outcome.leakage = leakage::measure(&outcome, &self.config.observer);
+        Ok(outcome)
+    }
+
+    /// The Fig. 2 decision procedure behind [`Blazer::analyze`], run under
+    /// the analysis' installed budget and stats collector. The returned
+    /// outcome's `leakage` is left at zero for the caller to measure.
+    fn decide(
+        &self,
+        program: &Program,
+        func: &str,
+        stats: &antichain::StatsCollector,
+    ) -> Result<AnalysisOutcome, CoreError> {
         program.validate().map_err(CoreError::InvalidProgram)?;
         let f =
             program.function(func).ok_or_else(|| CoreError::NoSuchFunction(func.to_string()))?;
@@ -575,25 +567,35 @@ impl Blazer {
         let alphabet = EdgeAlphabet::new(&cfg);
         let dims = DimMap::new(f);
         let taint = blazer_taint::analyze_function(program, f);
-
-        // Fast path: with no secret influence on control flow or call
-        // costs, there is nothing to leak (nosecret_safe).
-        if !has_secret_influence(f, &taint) {
-            let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
-            tree.node_mut(0).status = NodeStatus::Narrow;
-            return Ok(AnalysisOutcome {
+        let finish =
+            |verdict, tree, safety_time, attack_time, degradations, seed_stats| AnalysisOutcome {
                 function: func.to_string(),
-                verdict: Verdict::Safe,
+                verdict,
                 tree,
-                safety_time: start.elapsed(),
-                attack_time: None,
+                safety_time,
+                attack_time,
                 n_blocks: f.blocks().len(),
                 degradations,
                 budget_report: budget::report(),
                 seed_stats,
                 antichain_stats: stats.snapshot(),
                 cost_model: self.config.cost_model.clone(),
-            });
+                leakage: Leakage::none(),
+            };
+
+        // Fast path: with no secret influence on control flow or call
+        // costs, there is nothing to leak (nosecret_safe).
+        if !has_secret_influence(f, &taint) {
+            let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
+            tree.node_mut(0).status = NodeStatus::Narrow;
+            return Ok(finish(
+                Verdict::Safe,
+                tree,
+                start.elapsed(),
+                None,
+                degradations,
+                seed_stats,
+            ));
         }
 
         let branches = branch_syms(f, &alphabet, &taint);
@@ -690,52 +692,30 @@ impl Blazer {
         };
         let safety_time = start.elapsed();
         if safe {
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Safe,
-                tree,
-                safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
-                degradations,
-                budget_report: budget::report(),
-                seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+            return Ok(finish(Verdict::Safe, tree, safety_time, None, degradations, seed_stats));
         }
         if let Some(resource) = budget_stop {
             // A Wide leaf under an exhausted budget proves nothing: the
             // degraded bounds are over-approximations. Surface the budget,
             // not a (possibly wrong) attack.
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Unknown(UnknownReason::BudgetExhausted(resource)),
+            return Ok(finish(
+                Verdict::Unknown(UnknownReason::BudgetExhausted(resource)),
                 tree,
                 safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
+                None,
                 degradations,
-                budget_report: budget::report(),
                 seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+            ));
         }
         if !self.config.synthesize_attack {
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Unknown(UnknownReason::AttackSynthesisDisabled),
+            return Ok(finish(
+                Verdict::Unknown(UnknownReason::AttackSynthesisDisabled),
                 tree,
                 safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
+                None,
                 degradations,
-                budget_report: budget::report(),
                 seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+            ));
         }
 
         // ---- Attack loop: RefinePartition(vulnerable) + CheckAttack ------
@@ -848,19 +828,14 @@ impl Blazer {
                 break;
             }
         }
-        Ok(AnalysisOutcome {
-            function: func.to_string(),
+        Ok(finish(
             verdict,
             tree,
             safety_time,
-            attack_time: Some(attack_start.elapsed()),
-            n_blocks: f.blocks().len(),
+            Some(attack_start.elapsed()),
             degradations,
-            budget_report: budget::report(),
             seed_stats,
-            antichain_stats: stats.snapshot(),
-            cost_model: self.config.cost_model.clone(),
-        })
+        ))
     }
 
     /// Evaluates a batch of tree nodes (one refinement round's pending
@@ -1296,10 +1271,7 @@ impl Blazer {
             Ok(v) => !v.trim().is_empty() && v.trim() != "0",
             Err(_) => cfg!(debug_assertions),
         };
-        requested
-            && self.config.budget.is_unlimited()
-            && !self.config.use_ambient_budget
-            && std::env::var("BLAZER_FAULT").is_err()
+        requested && self.config.budget.is_unlimited() && std::env::var("BLAZER_FAULT").is_err()
     }
 }
 

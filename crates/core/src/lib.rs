@@ -37,13 +37,15 @@
 //! * [`driver`] — the overall algorithm of Fig. 2 (`CheckSafe`,
 //!   `CheckAttack`, and the two refinement loops);
 //! * [`attack`] — attack specifications and their concretization into
-//!   witness input pairs via the interpreter (Sec. 2.3).
+//!   witness input pairs via the interpreter (Sec. 2.3);
+//! * [`leakage`] — the quantified leakage (in bits) every verdict carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attack;
 pub mod driver;
+pub mod leakage;
 pub mod mgt;
 pub mod quotient;
 pub mod refine;
@@ -57,4 +59,5 @@ pub use driver::{
     concretize_outcome, AnalysisOutcome, Blazer, Config, CoreError, Degradation, DegradeReason,
     DomainKind, SeedStats, UnknownReason, Verdict,
 };
+pub use leakage::Leakage;
 pub use tree::{NodeStatus, SplitKind, TrailTree};

@@ -60,11 +60,6 @@ pub enum Resource {
     FixpointPasses,
     /// Number of driver refinement steps.
     RefinementSteps,
-    /// The budget was revoked by a scheduler (a portfolio race decided the
-    /// remaining work is moot). Not a cap — there is nothing to configure —
-    /// but it rides the same sticky CAS exhaustion cell, so every layer's
-    /// existing give-up-gracefully path doubles as cooperative cancellation.
-    Revoked,
 }
 
 impl Resource {
@@ -75,7 +70,6 @@ impl Resource {
             Resource::LpCalls => 2,
             Resource::FixpointPasses => 3,
             Resource::RefinementSteps => 4,
-            Resource::Revoked => 5,
         }
     }
 
@@ -85,7 +79,6 @@ impl Resource {
             2 => Some(Resource::LpCalls),
             3 => Some(Resource::FixpointPasses),
             4 => Some(Resource::RefinementSteps),
-            5 => Some(Resource::Revoked),
             _ => None,
         }
     }
@@ -98,7 +91,6 @@ impl fmt::Display for Resource {
             Resource::LpCalls => "LP-call budget",
             Resource::FixpointPasses => "fixpoint-pass budget",
             Resource::RefinementSteps => "refinement-step budget",
-            Resource::Revoked => "budget revoked by the scheduler",
         })
     }
 }
@@ -384,35 +376,6 @@ impl BudgetHandle {
     pub fn install(&self) -> BudgetGuard {
         let previous = ACTIVE.with(|a| a.borrow_mut().replace(Arc::clone(&self.shared)));
         BudgetGuard { previous }
-    }
-
-    /// Revokes the shared budget: trips the sticky exhaustion cell with
-    /// [`Resource::Revoked`] so every thread consuming against this ledger
-    /// sees [`Exhausted`] on its next `check`/`consume_*` call and unwinds
-    /// through the existing give-up path. A no-op when some resource already
-    /// tripped (the first trip always wins the CAS). Returns whether *this*
-    /// call performed the revocation.
-    pub fn revoke(&self) -> bool {
-        self.shared.exhausted_resource().is_none()
-            && self.shared.trip(Resource::Revoked) == Resource::Revoked
-    }
-
-    /// The first exhausted resource on the shared ledger, if any — readable
-    /// without installing the handle on the current thread (a scheduler
-    /// observing its workers' ledger).
-    pub fn exhausted(&self) -> Option<Resource> {
-        self.shared.exhausted_resource()
-    }
-
-    /// Consumption counters of the shared ledger, read directly off the
-    /// handle (no install needed): `(lp_calls, fixpoint_passes,
-    /// refinement_steps)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.shared.lp_calls.load(Ordering::SeqCst),
-            self.shared.fixpoint_passes.load(Ordering::SeqCst),
-            self.shared.refinement_steps.load(Ordering::SeqCst),
-        )
     }
 }
 
@@ -776,61 +739,6 @@ mod tests {
         let r = report();
         assert_eq!(r.fixpoint_passes, 1);
         assert_eq!(r.lp_calls, 1);
-    }
-
-    #[test]
-    fn revocation_is_sticky_refuses_rescue_and_freezes_counters() {
-        let _guard = Budget::unlimited().install();
-        let h = handle().expect("budget installed");
-        consume_lp_call().unwrap();
-        assert!(h.revoke());
-        assert!(!h.revoke(), "second revoke is a no-op");
-        assert_eq!(exhausted(), Some(Resource::Revoked));
-        assert_eq!(h.exhausted(), Some(Resource::Revoked));
-        // Every consume path reports the revocation and stops counting.
-        let (lp_before, fp_before, rs_before) = h.counters();
-        for _ in 0..10 {
-            assert_eq!(consume_lp_call().unwrap_err().resource, Resource::Revoked);
-            assert_eq!(consume_fixpoint_pass().unwrap_err().resource, Resource::Revoked);
-            assert_eq!(consume_refinement_step().unwrap_err().resource, Resource::Revoked);
-            assert_eq!(check().unwrap_err().resource, Resource::Revoked);
-        }
-        assert_eq!(h.counters(), (lp_before, fp_before, rs_before));
-        // A revoked ledger cannot be resurrected by an LP rescue grant.
-        assert!(!grant_lp_rescue(1000));
-        assert_eq!(report().exhausted, Some(Resource::Revoked));
-    }
-
-    #[test]
-    fn revoke_loses_to_an_earlier_trip() {
-        let _guard = Budget::unlimited().with_max_lp_calls(1).install();
-        let h = handle().expect("budget installed");
-        consume_lp_call().unwrap();
-        assert!(consume_lp_call().is_err());
-        assert!(!h.revoke(), "an already-tripped ledger is not re-tripped");
-        assert_eq!(exhausted(), Some(Resource::LpCalls));
-    }
-
-    #[test]
-    fn revocation_reaches_sibling_threads() {
-        let _guard = Budget::unlimited().install();
-        let h = handle().expect("budget installed");
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let _g = h.install();
-                // Spin until the revocation lands.
-                loop {
-                    match consume_lp_call() {
-                        Ok(()) => std::thread::yield_now(),
-                        Err(e) => return e.resource,
-                    }
-                }
-            });
-            // Let the worker consume a little before pulling the plug.
-            std::thread::sleep(Duration::from_millis(10));
-            h.revoke();
-            assert_eq!(worker.join().unwrap(), Resource::Revoked);
-        });
     }
 
     #[test]

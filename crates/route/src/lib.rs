@@ -809,15 +809,6 @@ fn stats_body(ctx: &Ctx) -> Json {
                 ("cache_misses", Json::from(fleet.cache_misses)),
                 ("cache_evictions", Json::from(fleet.cache_evictions)),
                 ("cache_hit_rate", Json::Num(fleet.hit_rate())),
-                (
-                    "portfolio",
-                    Json::obj([
-                        ("requests", Json::from(fleet.portfolio_requests)),
-                        ("wins_decomp", Json::from(fleet.wins_decomp)),
-                        ("wins_selfcomp", Json::from(fleet.wins_selfcomp)),
-                        ("revocations", Json::from(fleet.revocations)),
-                    ]),
-                ),
             ]),
         ),
         ("backends", Json::Arr(backends)),
@@ -834,10 +825,6 @@ struct FleetSums {
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
-    portfolio_requests: u64,
-    wins_decomp: u64,
-    wins_selfcomp: u64,
-    revocations: u64,
 }
 
 impl FleetSums {
@@ -851,12 +838,6 @@ impl FleetSums {
             self.cache_hits += n(cache, "hits");
             self.cache_misses += n(cache, "misses");
             self.cache_evictions += n(cache, "evictions");
-        }
-        if let Some(portfolio) = stats.get("portfolio") {
-            self.portfolio_requests += n(portfolio, "requests");
-            self.wins_decomp += n(portfolio, "wins_decomp");
-            self.wins_selfcomp += n(portfolio, "wins_selfcomp");
-            self.revocations += n(portfolio, "revocations");
         }
     }
 

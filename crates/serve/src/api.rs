@@ -11,7 +11,6 @@ use crate::report;
 use blazer_core::{Blazer, Config, DomainKind, UnknownReason, Verdict};
 use blazer_ir::cost::CostModel;
 use blazer_ir::json::Json;
-use blazer_portfolio::{analyze_portfolio, epsilon_for, Backend};
 use std::time::{Duration, Instant};
 
 /// A parsed `POST /analyze` body.
@@ -31,9 +30,6 @@ pub struct AnalyzeRequest {
     pub max_lp_calls: Option<u64>,
     /// Skip attack synthesis after a failed safety proof.
     pub no_attack: bool,
-    /// Verification backend: the decomposition driver (default), the
-    /// self-composition baseline, or a portfolio race of both.
-    pub backend: Backend,
     /// Observer cost model: `"unit"` (default), `"weighted"`, `"cache"`,
     /// or a `{"kind": ...}` parameter object.
     pub cost_model: CostModel,
@@ -50,7 +46,6 @@ impl AnalyzeRequest {
             timeout_s: None,
             max_lp_calls: None,
             no_attack: false,
-            backend: Backend::Decomp,
             cost_model: CostModel::unit(),
         }
     }
@@ -113,13 +108,17 @@ impl AnalyzeRequest {
                 "no_attack" => {
                     req.no_attack = value.as_bool().ok_or("\"no_attack\" must be a boolean")?;
                 }
-                "backend" => {
-                    req.backend = value
-                        .as_str()
-                        .ok_or("\"backend\" must be a string")?
-                        .parse()
-                        .map_err(|e| format!("\"backend\": {e}"))?;
-                }
+                // The decomposition driver is the only backend. The member
+                // is still accepted as a no-op for clients that name it.
+                "backend" => match value.as_str() {
+                    Some("decomp") => {}
+                    _ => {
+                        return Err(format!(
+                            "\"backend\": {value} was removed; the decomposition driver is \
+                             the only backend (omit the member or send \"decomp\")"
+                        ))
+                    }
+                },
                 "cost_model" => {
                     req.cost_model =
                         CostModel::from_json(value).map_err(|e| format!("\"cost_model\": {e}"))?;
@@ -154,9 +153,6 @@ impl AnalyzeRequest {
         if self.no_attack {
             pairs.push(("no_attack".to_string(), Json::Bool(true)));
         }
-        if self.backend != Backend::Decomp {
-            pairs.push(("backend".to_string(), Json::from(self.backend.as_str())));
-        }
         if self.cost_model != CostModel::unit() {
             pairs.push(("cost_model".to_string(), self.cost_model.to_json()));
         }
@@ -165,24 +161,18 @@ impl AnalyzeRequest {
 
     /// The configuration fingerprint half of the cache key: every option
     /// that can change the response. Thread width is deliberately absent —
-    /// verdicts are identical at every width. The backend is present: a
-    /// self-composition or portfolio response carries backend-specific
-    /// members (winner, leakage, verification status), so serving one for
-    /// a plain decomposition request would be a cache-poisoning collision.
-    /// (The cost model is likewise present — bounds, verdicts, leakage, and
-    /// attack witnesses are all priced under it, so two requests differing
-    /// only in `cost_model` must never share a cache entry or a
-    /// single-flight slot.)
+    /// verdicts are identical at every width. The cost model is present:
+    /// bounds, verdicts, leakage, and attack witnesses are all priced under
+    /// it, so two requests differing only in `cost_model` must never share
+    /// a cache entry or a single-flight slot.
     pub fn fingerprint(&self) -> String {
         format!(
-            "domain={};observer={};timeout_s={:?};max_lp_calls={:?};no_attack={};backend={};\
-             cost_model={}",
+            "domain={};observer={};timeout_s={:?};max_lp_calls={:?};no_attack={};cost_model={}",
             self.domain,
             self.observer,
             self.timeout_s,
             self.max_lp_calls,
             self.no_attack,
-            self.backend,
             self.cost_model
         )
     }
@@ -227,18 +217,6 @@ pub struct AnalyzeResponse {
     pub body: Json,
     /// Whether the (successful) response should enter the verdict cache.
     pub cacheable: bool,
-    /// Which backend won, when this response came from a portfolio race
-    /// (`None` for plain requests, cache hits, and failed races).
-    pub winner: Option<Backend>,
-    /// Whether a portfolio race revoked the shared ledger to cancel the
-    /// losing backend.
-    pub revoked: bool,
-}
-
-impl AnalyzeResponse {
-    fn plain(status: u16, body: Json, cacheable: bool) -> AnalyzeResponse {
-        AnalyzeResponse { status, body, cacheable, winner: None, revoked: false }
-    }
 }
 
 fn error_body(error: impl Into<String>) -> Json {
@@ -246,7 +224,11 @@ fn error_body(error: impl Into<String>) -> Json {
 }
 
 fn crash_response(msg: &str) -> AnalyzeResponse {
-    AnalyzeResponse::plain(500, error_body(format!("analysis crashed: {msg}")), false)
+    AnalyzeResponse {
+        status: 500,
+        body: error_body(format!("analysis crashed: {msg}")),
+        cacheable: false,
+    }
 }
 
 /// The non-cacheable 422 answer of a budget-exhausted analysis: the
@@ -264,7 +246,7 @@ fn exhausted_response(
         ("wall_s", Json::secs(wall_s)),
         ("budget", report::budget_json(budget)),
     ]);
-    AnalyzeResponse::plain(422, body, false)
+    AnalyzeResponse { status: 422, body, cacheable: false }
 }
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -278,12 +260,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A structured client error (malformed body, compile failure, unknown
 /// function).
 pub fn bad_request(error: impl Into<String>) -> AnalyzeResponse {
-    AnalyzeResponse::plain(400, error_body(error), false)
+    AnalyzeResponse { status: 400, body: error_body(error), cacheable: false }
 }
 
-/// Compiles and analyzes one request end to end, dispatching to the
-/// requested backend. Never panics: driver crashes become structured 500
-/// responses.
+/// Compiles and analyzes one request end to end. Never panics: driver
+/// crashes become structured 500 responses.
 pub fn execute(
     req: &AnalyzeRequest,
     max_timeout: Option<Duration>,
@@ -302,24 +283,8 @@ pub fn execute(
         },
     };
     let config = req.to_config(max_timeout, threads);
-    match req.backend {
-        Backend::Decomp => execute_decomp(req, &program, &function, config, started),
-        Backend::Selfcomp => execute_selfcomp(req, &program, &function, &config, started),
-        Backend::Portfolio => execute_portfolio(req, &program, &function, &config, started),
-    }
-}
-
-/// The default path: the decomposition driver alone.
-fn execute_decomp(
-    req: &AnalyzeRequest,
-    program: &blazer_ir::Program,
-    function: &str,
-    config: Config,
-    started: Instant,
-) -> AnalyzeResponse {
     let analyzed = std::panic::catch_unwind({
         let program = program.clone();
-        let function = function.to_string();
         move || Blazer::new(config).analyze(&program, &function)
     });
     let outcome = match analyzed {
@@ -331,93 +296,12 @@ fn execute_decomp(
     if let Verdict::Unknown(UnknownReason::BudgetExhausted(resource)) = &outcome.verdict {
         return exhausted_response(resource, wall_s, &outcome.budget_report);
     }
-    let Json::Obj(mut pairs) = report::outcome_json(program, &outcome, wall_s) else {
+    let Json::Obj(mut pairs) = report::outcome_json(&program, &outcome, wall_s) else {
         unreachable!("outcome_json returns an object");
     };
     pairs.insert(0, ("ok".to_string(), Json::Bool(true)));
     pairs.insert(1, ("key".to_string(), Json::Str(req.cache_key().address())));
-    AnalyzeResponse::plain(200, Json::Obj(pairs), true)
-}
-
-/// The self-composition baseline alone: a sound safety proof when it
-/// verifies, an honest `unknown` (never an attack claim) when it does not.
-fn execute_selfcomp(
-    req: &AnalyzeRequest,
-    program: &blazer_ir::Program,
-    function: &str,
-    config: &Config,
-    started: Instant,
-) -> AnalyzeResponse {
-    if program.function(function).is_none() {
-        return bad_request(format!("analysis error: no such function: {function}"));
-    }
-    let epsilon = epsilon_for(&config.observer);
-    let _guard = config.budget.install();
-    let verified = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        blazer_selfcomp::verify(program, function, epsilon, &config.cost_model)
-    }));
-    let budget = blazer_ir::budget::report();
-    let wall_s = started.elapsed().as_secs_f64();
-    let result = match verified {
-        Ok(r) => r,
-        Err(payload) => return crash_response(&panic_text(payload)),
-    };
-    if let Some(resource) = &budget.exhausted {
-        return exhausted_response(resource, wall_s, &budget);
-    }
-    let body = Json::obj([
-        ("ok", Json::Bool(true)),
-        ("key", Json::Str(req.cache_key().address())),
-        ("function", Json::from(function)),
-        ("backend", Json::from(Backend::Selfcomp.as_str())),
-        ("verdict", Json::from(if result.verified { "safe" } else { "unknown" })),
-        ("verified", Json::Bool(result.verified)),
-        ("epsilon", Json::from(epsilon)),
-        ("cost_model", config.cost_model.to_json()),
-        ("diff_lower", result.diff_bounds.0.map(|r| r.to_f64()).map(Json::Num).into()),
-        ("diff_upper", result.diff_bounds.1.map(|r| r.to_f64()).map(Json::Num).into()),
-        ("composed_blocks", Json::from(result.composed_blocks)),
-        ("wall_s", Json::secs(wall_s)),
-        ("budget", report::budget_json(&budget)),
-    ]);
-    AnalyzeResponse::plain(200, body, true)
-}
-
-/// The portfolio race: both backends under one shared budget, first sound
-/// verdict wins, quantified leakage attached.
-fn execute_portfolio(
-    req: &AnalyzeRequest,
-    program: &blazer_ir::Program,
-    function: &str,
-    config: &Config,
-    started: Instant,
-) -> AnalyzeResponse {
-    let report = match analyze_portfolio(program, function, config) {
-        Ok(r) => r,
-        Err(e) => return bad_request(format!("analysis error: {e}")),
-    };
-    let wall_s = started.elapsed().as_secs_f64();
-    if report.winner.is_none() {
-        if let Verdict::Unknown(UnknownReason::BudgetExhausted(resource)) = &report.verdict {
-            return exhausted_response(resource, wall_s, &report.budget_report);
-        }
-        if report.outcome.is_none() {
-            let msg = report.crash.as_deref().unwrap_or("both backends failed");
-            return crash_response(msg);
-        }
-    }
-    let Json::Obj(mut pairs) = report::portfolio_json(program, function, &report, wall_s) else {
-        unreachable!("portfolio_json returns an object");
-    };
-    pairs.insert(0, ("ok".to_string(), Json::Bool(true)));
-    pairs.insert(1, ("key".to_string(), Json::Str(req.cache_key().address())));
-    AnalyzeResponse {
-        status: 200,
-        body: Json::Obj(pairs),
-        cacheable: true,
-        winner: report.winner,
-        revoked: report.revoked,
-    }
+    AnalyzeResponse { status: 200, body: Json::Obj(pairs), cacheable: true }
 }
 
 #[cfg(test)]
@@ -464,23 +348,6 @@ mod tests {
         assert_ne!(base.fingerprint(), zoned.fingerprint());
         // Same request analyzed at different widths is the same key.
         assert_eq!(base.cache_key(), base.cache_key());
-    }
-
-    #[test]
-    fn cache_key_separates_backends() {
-        // Regression: the fingerprint once omitted the backend, so a
-        // selfcomp or portfolio verdict (different body shape, different
-        // soundness guarantees) could be cached and then served to a plain
-        // decomposition request for the same source.
-        let mut keys = Vec::new();
-        for backend in [Backend::Decomp, Backend::Selfcomp, Backend::Portfolio] {
-            let mut req = AnalyzeRequest::new("fn f(h: int #high) { tick(1); }");
-            req.backend = backend;
-            keys.push(req.cache_key());
-        }
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
-        assert_ne!(keys[1], keys[2]);
     }
 
     #[test]
@@ -550,49 +417,16 @@ mod tests {
     }
 
     #[test]
-    fn backend_roundtrips_and_default_is_omitted_from_wire() {
-        let doc = Json::parse(r#"{"source": "fn f() { }", "backend": "portfolio"}"#).unwrap();
+    fn decomp_backend_is_a_no_op_and_removed_backends_are_rejected() {
+        let doc = Json::parse(r#"{"source": "fn f() { }", "backend": "decomp"}"#).unwrap();
         let req = AnalyzeRequest::from_json(&doc).unwrap();
-        assert_eq!(req.backend, Backend::Portfolio);
-        assert_eq!(AnalyzeRequest::from_json(&req.to_json()).unwrap(), req);
-        // The default backend stays off the wire for old-client parity.
-        let plain = AnalyzeRequest::new("fn f() { }");
-        assert!(plain.to_json().get("backend").is_none());
-        let bad = Json::parse(r#"{"source": "x", "backend": "quantum"}"#).unwrap();
-        assert!(AnalyzeRequest::from_json(&bad).unwrap_err().contains("backend"));
-    }
-
-    #[test]
-    fn execute_portfolio_reports_winner_and_leakage() {
-        let mut req = AnalyzeRequest::new(
-            "fn f(h: int #high) { if (h == 0) { tick(500); } else { tick(1); } }",
-        );
-        req.backend = Backend::Portfolio;
-        let resp = execute(&req, None, 1);
-        assert_eq!(resp.status, 200);
-        assert!(resp.cacheable);
-        // Selfcomp can never soundly report an attack: decomp must win.
-        assert_eq!(resp.winner, Some(Backend::Decomp));
-        assert_eq!(resp.body.get("verdict").and_then(Json::as_str), Some("attack"));
-        assert_eq!(resp.body.get("winner").and_then(Json::as_str), Some("decomp"));
-        assert!(resp
-            .body
-            .get("leakage_bits")
-            .and_then(Json::as_f64)
-            .is_some_and(|bits| bits >= 1.0));
-        assert!(resp.body.get("portfolio").and_then(|p| p.get("decomp")).is_some());
-    }
-
-    #[test]
-    fn execute_selfcomp_verifies_balanced_program() {
-        let mut req =
-            AnalyzeRequest::new("fn f(h: int #high) { if (h > 0) { tick(3); } else { tick(3); } }");
-        req.backend = Backend::Selfcomp;
-        let resp = execute(&req, None, 1);
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.get("verdict").and_then(Json::as_str), Some("safe"));
-        assert_eq!(resp.body.get("verified").and_then(Json::as_bool), Some(true));
-        assert_eq!(resp.body.get("backend").and_then(Json::as_str), Some("selfcomp"));
+        assert_eq!(req, AnalyzeRequest::new("fn f() { }"));
+        assert!(req.to_json().get("backend").is_none());
+        for backend in [r#""portfolio""#, r#""selfcomp""#, "7"] {
+            let body = format!(r#"{{"source": "x", "backend": {backend}}}"#);
+            let err = AnalyzeRequest::from_json(&Json::parse(&body).unwrap()).unwrap_err();
+            assert!(err.contains("backend") && err.contains("removed"), "{body} -> {err}");
+        }
     }
 
     #[test]

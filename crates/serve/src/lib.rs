@@ -140,15 +140,6 @@ pub struct Stats {
     pub batch_requests: AtomicU64,
     /// Driver panics isolated into `500` responses.
     pub crashes: AtomicU64,
-    /// `/analyze` submissions that ran a portfolio race (cache hits and
-    /// coalesced followers excluded: only actual races count).
-    pub portfolio_requests: AtomicU64,
-    /// Portfolio races won by the decomposition driver.
-    pub wins_decomp: AtomicU64,
-    /// Portfolio races won by the self-composition baseline.
-    pub wins_selfcomp: AtomicU64,
-    /// Portfolio races that revoked the shared budget to cancel the loser.
-    pub revocations: AtomicU64,
     /// Analyses priced under the `weighted` cost-model preset.
     pub cost_model_weighted: AtomicU64,
     /// Analyses priced under the cache-aware cost-model preset.
@@ -465,9 +456,6 @@ fn analyze_one(ctx: &Ctx, req: &api::AnalyzeRequest) -> (u16, String) {
             // never ran, so it doesn't count as an analysis.
             if response.status != 400 {
                 ctx.stats.analyses_run.fetch_add(1, Ordering::SeqCst);
-                if req.backend == blazer_portfolio::Backend::Portfolio {
-                    ctx.stats.portfolio_requests.fetch_add(1, Ordering::SeqCst);
-                }
                 {
                     use blazer_ir::cost::CostModel;
                     if req.cost_model == CostModel::weighted() {
@@ -478,18 +466,6 @@ fn analyze_one(ctx: &Ctx, req: &api::AnalyzeRequest) -> (u16, String) {
                         ctx.stats.cost_model_custom.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-            }
-            match response.winner {
-                Some(blazer_portfolio::Backend::Decomp) => {
-                    ctx.stats.wins_decomp.fetch_add(1, Ordering::SeqCst);
-                }
-                Some(blazer_portfolio::Backend::Selfcomp) => {
-                    ctx.stats.wins_selfcomp.fetch_add(1, Ordering::SeqCst);
-                }
-                _ => {}
-            }
-            if response.revoked {
-                ctx.stats.revocations.fetch_add(1, Ordering::SeqCst);
             }
             if response.status == 500 {
                 ctx.stats.crashes.fetch_add(1, Ordering::SeqCst);
@@ -601,15 +577,6 @@ fn stats_body(ctx: &Ctx) -> Json {
                 ("evictions", Json::from(ctx.cache.evictions())),
                 ("shards", Json::from(ctx.cache.shards())),
                 ("hit_rate", Json::Num(ctx.cache.hit_rate())),
-            ]),
-        ),
-        (
-            "portfolio",
-            Json::obj([
-                ("requests", Json::from(s.portfolio_requests.load(Ordering::SeqCst))),
-                ("wins_decomp", Json::from(s.wins_decomp.load(Ordering::SeqCst))),
-                ("wins_selfcomp", Json::from(s.wins_selfcomp.load(Ordering::SeqCst))),
-                ("revocations", Json::from(s.revocations.load(Ordering::SeqCst))),
             ]),
         ),
         (

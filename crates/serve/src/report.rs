@@ -7,7 +7,6 @@
 use blazer_core::{AnalysisOutcome, BudgetReport, Verdict};
 use blazer_ir::json::Json;
 use blazer_ir::Program;
-use blazer_portfolio::{Backend, BackendCost, PortfolioReport};
 
 /// Serializes a full outcome. `wall_s` is the caller-observed wall-clock
 /// time for the whole request (compile + analysis), distinct from the
@@ -58,6 +57,7 @@ pub fn outcome_json(program: &Program, outcome: &AnalysisOutcome, wall_s: f64) -
         ("verdict", Json::from(outcome.verdict.code())),
         ("cost_model", outcome.cost_model.to_json()),
         ("unknown_reason", outcome.verdict.unknown_reason().map(|r| r.to_string()).into()),
+        ("leakage_bits", Json::Num(outcome.leakage.bits)),
         ("n_blocks", Json::from(outcome.n_blocks)),
         ("safety_s", Json::secs(outcome.safety_time.as_secs_f64())),
         ("attack_s", outcome.attack_time.map(|d| Json::secs(d.as_secs_f64())).into()),
@@ -97,87 +97,6 @@ fn bounds_pair(bounds: &(blazer_bounds::CostExpr, Option<blazer_bounds::CostExpr
     ])
 }
 
-/// Sets `key` to `value`, replacing an existing member or appending.
-fn set(pairs: &mut Vec<(String, Json)>, key: &str, value: Json) {
-    match pairs.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value,
-        None => pairs.push((key.to_string(), value)),
-    }
-}
-
-fn backend_cost_json(cost: &BackendCost) -> Json {
-    Json::obj([
-        ("wall_s", Json::secs(cost.wall.as_secs_f64())),
-        ("lp_calls", Json::from(cost.lp_calls)),
-        ("fixpoint_passes", Json::from(cost.fixpoint_passes)),
-        ("completed", Json::Bool(cost.completed)),
-        ("crashed", Json::Bool(cost.crashed)),
-    ])
-}
-
-/// Serializes a portfolio race: the winning outcome's document (when the
-/// decomposition produced one) extended with the race verdict, the
-/// quantified leakage, and per-backend cost attribution.
-pub fn portfolio_json(
-    program: &Program,
-    function: &str,
-    report: &PortfolioReport,
-    wall_s: f64,
-) -> Json {
-    let mut pairs = match &report.outcome {
-        Some(outcome) => {
-            let Json::Obj(pairs) = outcome_json(program, outcome, wall_s) else {
-                unreachable!("outcome_json returns an object");
-            };
-            pairs
-        }
-        // The decomposition crashed but the baseline soundly verified:
-        // there is no partition to render, only the race verdict.
-        None => vec![
-            ("function".to_string(), Json::from(function)),
-            ("wall_s".to_string(), Json::secs(wall_s)),
-        ],
-    };
-    // The race's verdict overrides the decomposition's own: a baseline win
-    // turns a revoked/unfinished decomposition `unknown` into `safe`.
-    set(&mut pairs, "verdict", Json::from(report.verdict.code()));
-    set(
-        &mut pairs,
-        "unknown_reason",
-        report.verdict.unknown_reason().map(|r| r.to_string()).into(),
-    );
-    // The decomposition's budget snapshot is superseded by the whole
-    // race's final ledger totals.
-    set(&mut pairs, "budget", budget_json(&report.budget_report));
-    set(&mut pairs, "backend", Json::from(Backend::Portfolio.as_str()));
-    set(&mut pairs, "winner", report.winner.map(|b| b.as_str().to_string()).into());
-    set(&mut pairs, "leakage_bits", Json::Num(report.leakage.bits));
-    set(
-        &mut pairs,
-        "leakage",
-        Json::obj([
-            ("bits", Json::Num(report.leakage.bits)),
-            ("classes", Json::from(report.leakage.classes)),
-            ("feasible_leaves", Json::from(report.leakage.feasible_leaves)),
-            ("wide_leaves", Json::from(report.leakage.wide_leaves)),
-            ("max_gap", report.leakage.max_gap.map(Json::Num).unwrap_or(Json::Null)),
-        ]),
-    );
-    set(
-        &mut pairs,
-        "portfolio",
-        Json::obj([
-            ("winner", report.winner.map(|b| b.as_str().to_string()).into()),
-            ("revoked", Json::Bool(report.revoked)),
-            ("selfcomp_verified", report.selfcomp_verified.map(Json::Bool).unwrap_or(Json::Null)),
-            ("decomp", backend_cost_json(&report.decomp)),
-            ("selfcomp", backend_cost_json(&report.selfcomp)),
-            ("race_wall_s", Json::secs(report.wall.as_secs_f64())),
-        ]),
-    );
-    Json::Obj(pairs)
-}
-
 /// Serializes what one analysis consumed against its budget.
 pub fn budget_json(report: &BudgetReport) -> Json {
     Json::obj([
@@ -208,6 +127,8 @@ mod tests {
             assert_eq!(doc.get("verdict").and_then(Json::as_str), Some(verdict));
             assert_eq!(doc.get("attack").map(Json::is_null), Some(!has_attack));
             assert_eq!(doc.get("wall_s").and_then(Json::as_f64), Some(0.5));
+            let bits = doc.get("leakage_bits").and_then(Json::as_f64).unwrap();
+            assert!(if has_attack { bits >= 1.0 } else { bits == 0.0 }, "{verdict}: {bits}");
             assert!(doc.get("trails").and_then(Json::as_arr).is_some_and(|t| !t.is_empty()));
             // The seeding counters round-trip; the initial trail is never
             // seeded (it has no parent), so at least one from-⊥ run shows.

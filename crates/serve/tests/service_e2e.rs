@@ -49,6 +49,9 @@ fn wire_verdicts_match_the_direct_driver() {
         if direct.is_attack() {
             assert!(!doc.get("attack").map(Json::is_null).unwrap_or(true));
         }
+        // Every verdict carries its leakage: 0 bits safe, at least 1 attack.
+        let bits = doc.get("leakage_bits").and_then(Json::as_f64).expect("leakage_bits");
+        assert!(if direct.is_attack() { bits >= 1.0 } else { bits == 0.0 }, "{doc}");
     }
     server.stop();
 }
@@ -98,6 +101,12 @@ fn malformed_requests_get_structured_errors_and_the_server_survives() {
             client::raw_request(&addr, "POST", "/analyze", Some(bad)).expect("round-trips");
         assert_eq!(status, 400, "{bad} -> {body}");
     }
+    // A removed backend is a 400 that says so.
+    let removed = r#"{"source": "fn f() { }", "backend": "portfolio"}"#;
+    let (status, body) =
+        client::raw_request(&addr, "POST", "/analyze", Some(removed)).expect("round-trips");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("removed"), "{body}");
     // Unknown routes and wrong methods are structured too.
     let (status, _) = client::raw_request(&addr, "GET", "/nope", None).expect("404 route");
     assert_eq!(status, 404);
@@ -410,13 +419,18 @@ fn batch_mixes_ok_and_failed_items_without_failing_the_batch() {
     let statuses: Vec<u64> =
         items.iter().map(|i| i.get("status").and_then(Json::as_u64).unwrap()).collect();
     assert_eq!(statuses, [200, 422, 400, 200]);
-    assert_eq!(items[0].get("verdict").and_then(Json::as_str), Some("attack"));
-    assert_eq!(items[0].get("cached").and_then(Json::as_bool), Some(false));
     assert!(items[1].get("error").and_then(Json::as_str).unwrap().contains("budget exhausted"));
     assert!(items[2].get("error").and_then(Json::as_str).unwrap().contains("compile error"));
-    // The duplicate of item 0 was answered without a second driver run —
-    // coalesced with it in flight, or a cache hit after it landed.
-    assert_eq!(items[3].get("verdict").and_then(Json::as_str), Some("attack"));
+    // Items 0 and 3 are identical and fan out concurrently, so either may
+    // lead: exactly one ran the driver, and the other was coalesced with it
+    // in flight or answered from the cache after it landed.
+    let twins = [&items[0], &items[3]];
+    for item in twins {
+        assert_eq!(item.get("verdict").and_then(Json::as_str), Some("attack"), "{item}");
+    }
+    let uncached =
+        twins.iter().filter(|i| i.get("cached").and_then(Json::as_bool) == Some(false)).count();
+    assert_eq!(uncached, 1, "exactly one of the duplicates ran the driver: {doc}");
     let (_, stats) = client::stats(&addr).expect("stats");
     assert_eq!(stats.get("batch_requests").and_then(Json::as_u64), Some(1));
     assert_eq!(stats.get("analyze_requests").and_then(Json::as_u64), Some(4));
@@ -529,110 +543,6 @@ fn batch_of_all_table1_sources_matches_the_committed_snapshot() {
             b.name
         );
     }
-    server.stop();
-}
-
-#[test]
-fn portfolio_requests_report_winner_and_leakage_over_the_wire() {
-    let server = start_server(ServeOptions::default());
-    let addr = server.addr().to_string();
-    let mut attack = AnalyzeRequest::new(UNSAFE_SRC);
-    attack.backend = blazer_portfolio::Backend::Portfolio;
-    let (status, doc) = client::analyze(&addr, &attack).expect("portfolio round-trips");
-    assert_eq!(status, 200, "{doc}");
-    assert_eq!(doc.get("backend").and_then(Json::as_str), Some("portfolio"));
-    // Self-composition can never soundly report an attack, so the
-    // decomposition is the only possible winner of this race.
-    assert_eq!(doc.get("winner").and_then(Json::as_str), Some("decomp"));
-    assert!(
-        doc.get("leakage_bits").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
-        "an attack leaks at least one bit: {doc}"
-    );
-    let pf = doc.get("portfolio").expect("portfolio block");
-    assert_eq!(pf.get("selfcomp_verified").and_then(Json::as_bool), Some(false));
-    let attack_revoked = pf.get("revoked").and_then(Json::as_bool).expect("revoked flag");
-    // The loser's counters stop advancing after revocation: the race
-    // total equals the last backend's snapshot of the shared ledger —
-    // nothing moved once both workers were down.
-    let total = doc.get("budget").and_then(|b| b.get("lp_calls")).and_then(Json::as_u64).unwrap();
-    let decomp_lp = pf.get("decomp").and_then(|c| c.get("lp_calls")).and_then(Json::as_u64);
-    let selfcomp_lp = pf.get("selfcomp").and_then(|c| c.get("lp_calls")).and_then(Json::as_u64);
-    assert_eq!(decomp_lp.max(selfcomp_lp), Some(total), "{pf}");
-    if attack_revoked {
-        let loser_done = pf
-            .get("selfcomp")
-            .and_then(|c| c.get("completed"))
-            .and_then(Json::as_bool)
-            .expect("loser completion flag");
-        assert!(!loser_done, "a revoked loser did not run to completion: {pf}");
-    }
-    // A safe race answers zero bits, and some backend must win it.
-    let mut safe = AnalyzeRequest::new(SAFE_SRC);
-    safe.backend = blazer_portfolio::Backend::Portfolio;
-    let (status, safe_doc) = client::analyze(&addr, &safe).expect("safe portfolio");
-    assert_eq!(status, 200, "{safe_doc}");
-    assert_eq!(safe_doc.get("verdict").and_then(Json::as_str), Some("safe"));
-    assert_eq!(safe_doc.get("leakage_bits").and_then(Json::as_f64), Some(0.0));
-    let safe_winner = safe_doc.get("winner").and_then(Json::as_str).expect("safe race has winner");
-    let safe_revoked =
-        safe_doc.get("portfolio").and_then(|p| p.get("revoked")).and_then(Json::as_bool).unwrap();
-    // The winner is cacheable: a resubmission answers from the cache with
-    // the race's provenance intact.
-    let (status, again) = client::analyze(&addr, &attack).expect("cached portfolio");
-    assert_eq!(status, 200);
-    assert_eq!(again.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(again.get("winner").and_then(Json::as_str), Some("decomp"));
-    // The /stats portfolio block is consistent with what we observed on
-    // the wire: two races run (the cache hit is not a race), the winners
-    // we saw, the revocations we saw.
-    let (_, stats) = client::stats(&addr).expect("stats");
-    let pstats = stats.get("portfolio").expect("portfolio stats block");
-    assert_eq!(pstats.get("requests").and_then(Json::as_u64), Some(2), "{pstats}");
-    let wins_decomp = pstats.get("wins_decomp").and_then(Json::as_u64).unwrap();
-    let wins_selfcomp = pstats.get("wins_selfcomp").and_then(Json::as_u64).unwrap();
-    assert!(wins_decomp >= if safe_winner == "decomp" { 2 } else { 1 }, "{pstats}");
-    assert_eq!(wins_decomp + wins_selfcomp, 2, "every answered race had a winner: {pstats}");
-    let expected_revocations = u64::from(attack_revoked) + u64::from(safe_revoked);
-    assert_eq!(
-        pstats.get("revocations").and_then(Json::as_u64),
-        Some(expected_revocations),
-        "{pstats}"
-    );
-    server.stop();
-}
-
-#[test]
-fn starved_portfolio_request_is_422_and_the_service_keeps_serving() {
-    let server = start_server(ServeOptions::default());
-    let addr = server.addr().to_string();
-    // Both backends exhaust the shared ledger immediately: no sound
-    // verdict, no winner — a budget failure, not a crash.
-    let mut starved = AnalyzeRequest::new(SAFE_SRC);
-    starved.backend = blazer_portfolio::Backend::Portfolio;
-    starved.timeout_s = Some(1e-9);
-    let (status, doc) = client::analyze(&addr, &starved).expect("round-trips");
-    assert_eq!(status, 422, "{doc}");
-    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(doc
-        .get("error")
-        .and_then(Json::as_str)
-        .is_some_and(|e| e.contains("budget exhausted")));
-    // The service keeps serving, and the starved answer did not poison
-    // the cache for a properly-budgeted portfolio resubmission.
-    let mut healthy = AnalyzeRequest::new(SAFE_SRC);
-    healthy.backend = blazer_portfolio::Backend::Portfolio;
-    let (status, doc) = client::analyze(&addr, &healthy).expect("still serving");
-    assert_eq!(status, 200, "{doc}");
-    assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("safe"));
-    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
-    // Both outcomes counted as portfolio traffic; only the healthy race
-    // recorded a win.
-    let (_, stats) = client::stats(&addr).expect("stats");
-    let pstats = stats.get("portfolio").expect("portfolio stats block");
-    assert_eq!(pstats.get("requests").and_then(Json::as_u64), Some(2), "{pstats}");
-    let wins = pstats.get("wins_decomp").and_then(Json::as_u64).unwrap()
-        + pstats.get("wins_selfcomp").and_then(Json::as_u64).unwrap();
-    assert_eq!(wins, 1, "{pstats}");
     server.stop();
 }
 

@@ -28,7 +28,6 @@
 
 use blazer::core::{concretize_outcome, Blazer, Config, DomainKind, Verdict};
 use blazer::ir::json::Json;
-use blazer::portfolio::{analyze_portfolio, epsilon_for, Backend};
 use blazer::route::{RouteOptions, Router};
 use blazer::serve::{api::AnalyzeRequest, bench, client, report, ServeOptions, Server};
 use std::process::ExitCode;
@@ -43,24 +42,18 @@ struct Options {
     file: String,
     function: Option<String>,
     config: Config,
-    backend: Backend,
     concretize: bool,
     json: bool,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut config = Config::microbench();
-    let mut backend = Backend::Decomp;
     let mut concretize = false;
     let mut json = false;
     let mut positional = Vec::new();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--backend" => match args.next() {
-                Some(b) => backend = b.parse()?,
-                None => return Err("--backend expects decomp|selfcomp|portfolio".to_string()),
-            },
             "--observer" => match args.next().as_deref() {
                 Some("stac") => config.observer = blazer::bounds::Observer::stac(),
                 Some("degree") => config.observer = blazer::bounds::Observer::degree(),
@@ -95,7 +88,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             "--json" => json = true,
             "--help" | "-h" => {
                 return Err("usage: blazer [--observer stac|degree] [--domain D] \
-                            [--backend decomp|selfcomp|portfolio] \
                             [--cost-model unit|weighted|cache] \
                             [--timeout SECS] [--max-lp-calls N] [--threads N] \
                             [--no-attack] [--concretize] [--json] <file> [function]\n\
@@ -122,7 +114,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     }
     let mut positional = positional.into_iter();
     let file = positional.next().ok_or("missing input file (try --help)")?;
-    Ok(Options { file, function: positional.next(), config, backend, concretize, json })
+    Ok(Options { file, function: positional.next(), config, concretize, json })
 }
 
 fn parse_domain(arg: Option<&str>) -> Result<DomainKind, String> {
@@ -209,11 +201,6 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
             }
         },
     };
-    match opts.backend {
-        Backend::Decomp => {}
-        Backend::Selfcomp => return selfcomp_main(&opts, &program, &function, started),
-        Backend::Portfolio => return portfolio_main(&opts, &program, &function, started),
-    }
     // Isolate the analysis: a crash (e.g. an injected fault) is reported as
     // an inconclusive run, not a process abort.
     let analyzed = std::panic::catch_unwind({
@@ -255,6 +242,21 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
             .map(|d| format!(", attack search {:.2}s", d.as_secs_f64()))
             .unwrap_or_default()
     );
+    // A proven-safe partition is pinned to 0 bits without measuring any
+    // trails, so it has no breakdown to print.
+    let l = &outcome.leakage;
+    let detail = if l.feasible_leaves == 0 {
+        String::new()
+    } else {
+        format!(
+            " ({} distinguishable classes over {} feasible trails, {} wide{})",
+            l.classes,
+            l.feasible_leaves,
+            l.wide_leaves,
+            l.max_gap.map(|g| format!(", max gap {g:.1}")).unwrap_or_default(),
+        )
+    };
+    println!("leakage: {:.2} bits{detail}", l.bits);
     if !outcome.degradations.is_empty() {
         println!("degradations:");
         for d in &outcome.degradations {
@@ -299,117 +301,6 @@ fn verdict_exit(verdict: &Verdict) -> ExitCode {
         Verdict::Attack(_) => ExitCode::from(1),
         Verdict::Unknown(_) => ExitCode::from(EXIT_UNKNOWN),
     }
-}
-
-/// `--backend selfcomp`: the self-composition baseline alone. Sound when
-/// it verifies; an honest `unknown` (never an attack claim) otherwise.
-fn selfcomp_main(
-    opts: &Options,
-    program: &blazer::ir::Program,
-    function: &str,
-    started: Instant,
-) -> ExitCode {
-    if program.function(function).is_none() {
-        eprintln!("analysis error: no such function: {function}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let epsilon = epsilon_for(&opts.config.observer);
-    let _guard = opts.config.budget.install();
-    let verified = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        blazer::selfcomp::verify(program, function, epsilon, &opts.config.cost_model)
-    }));
-    let result = match verified {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            eprintln!("{function}: self-composition crashed: {msg}");
-            return ExitCode::from(EXIT_UNKNOWN);
-        }
-    };
-    if opts.json {
-        let doc = Json::obj([
-            ("function", Json::from(function)),
-            ("backend", Json::from(Backend::Selfcomp.as_str())),
-            ("verdict", Json::from(if result.verified { "safe" } else { "unknown" })),
-            ("verified", Json::Bool(result.verified)),
-            ("epsilon", Json::from(epsilon)),
-            ("cost_model", opts.config.cost_model.to_json()),
-            ("composed_blocks", Json::from(result.composed_blocks)),
-            ("wall_s", Json::secs(started.elapsed().as_secs_f64())),
-        ]);
-        print!("{}", doc.pretty());
-    } else {
-        println!(
-            "{function}: {} (self-composition, epsilon {epsilon}, {} composed blocks, {:.2}s)",
-            if result.verified { "safe" } else { "unknown: composed analysis did not verify" },
-            result.composed_blocks,
-            result.time.as_secs_f64(),
-        );
-    }
-    if result.verified {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(EXIT_UNKNOWN)
-    }
-}
-
-/// `--backend portfolio`: race both engines under one shared budget and
-/// report the winner plus the quantified leakage of the verdict.
-fn portfolio_main(
-    opts: &Options,
-    program: &blazer::ir::Program,
-    function: &str,
-    started: Instant,
-) -> ExitCode {
-    let report = match analyze_portfolio(program, function, &opts.config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analysis error: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if opts.json {
-        print!(
-            "{}",
-            report::portfolio_json(program, function, &report, started.elapsed().as_secs_f64())
-                .pretty()
-        );
-        return verdict_exit(&report.verdict);
-    }
-    let winner = report.winner.map(Backend::as_str).unwrap_or("none");
-    println!(
-        "{function}: {} (portfolio winner: {winner}{}, race {:.2}s; \
-         decomp {:.2}s, selfcomp {:.2}s)",
-        report.verdict,
-        if report.revoked { ", loser revoked" } else { "" },
-        report.wall.as_secs_f64(),
-        report.decomp.wall.as_secs_f64(),
-        report.selfcomp.wall.as_secs_f64(),
-    );
-    let l = &report.leakage;
-    println!(
-        "leakage: {:.2} bits ({} distinguishable classes over {} feasible trails, \
-         {} wide{})",
-        l.bits,
-        l.classes,
-        l.feasible_leaves,
-        l.wide_leaves,
-        l.max_gap.map(|g| format!(", max gap {g:.1}")).unwrap_or_default(),
-    );
-    if let Some(outcome) = &report.outcome {
-        println!("{}", outcome.render_tree(program));
-    }
-    if let Verdict::Attack(spec) = &report.verdict {
-        println!("{spec}");
-    }
-    if let Some(crash) = &report.crash {
-        eprintln!("note: decomposition worker crashed ({crash}); verdict from self-composition");
-    }
-    verdict_exit(&report.verdict)
 }
 
 // ------------------------------------------------------------------ serve
@@ -713,10 +604,6 @@ fn client_main(args: Vec<String>) -> ExitCode {
                 req.no_attack = true;
                 Ok(())
             }
-            "--backend" => match args.next() {
-                Some(b) => b.parse().map(|parsed| req.backend = parsed),
-                None => Err("--backend expects decomp|selfcomp|portfolio".to_string()),
-            },
             other => {
                 positional.push(other.to_string());
                 Ok(())
@@ -789,9 +676,8 @@ fn print_analysis(label: &str, status: u16, doc: &Json) {
             doc.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0),
             doc.get("key").and_then(Json::as_str).unwrap_or("?"),
         );
-        if let Some(winner) = doc.get("winner").and_then(Json::as_str) {
-            let bits = doc.get("leakage_bits").and_then(Json::as_f64).unwrap_or(0.0);
-            println!("{label}portfolio winner: {winner}; leakage: {bits:.2} bits");
+        if let Some(bits) = doc.get("leakage_bits").and_then(Json::as_f64) {
+            println!("{label}leakage: {bits:.2} bits");
         }
         if let Some(tree) = doc.get("tree").and_then(Json::as_str) {
             println!("{tree}");

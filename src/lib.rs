@@ -44,9 +44,8 @@
 //! | [`interp`] | `blazer-interp` | concrete interpreter with cost counting |
 //! | [`absint`] | `blazer-absint` | trail-restricted abstract interpreter |
 //! | [`bounds`] | `blazer-bounds` | symbolic running-time bounds, observers |
-//! | [`core`] | `blazer-core` | trails, quotient partitioning, the driver |
+//! | [`core`] | `blazer-core` | trails, quotient partitioning, the driver, leakage |
 //! | [`selfcomp`] | `blazer-selfcomp` | the self-composition baseline |
-//! | [`portfolio`] | `blazer-portfolio` | backend racing + quantified leakage |
 //! | [`serve`] | `blazer-serve` | the concurrent HTTP analysis service |
 //! | [`http`] | `blazer-http` | the shared HTTP/1.1 wire subset |
 //! | [`route`] | `blazer-route` | the fault-tolerant fleet router |
@@ -93,7 +92,6 @@ pub use blazer_http as http;
 pub use blazer_interp as interp;
 pub use blazer_ir as ir;
 pub use blazer_lang as lang;
-pub use blazer_portfolio as portfolio;
 pub use blazer_route as route;
 pub use blazer_selfcomp as selfcomp;
 pub use blazer_serve as serve;

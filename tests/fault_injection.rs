@@ -26,11 +26,21 @@ const LEAKY: &str = "fn f(high: int #high, low: int) {
     }
 }";
 
-fn analyze_with(budget: Budget) -> blazer::core::AnalysisOutcome {
-    let program = blazer::lang::compile(LEAKY).unwrap();
+/// Balanced on both branches; undisturbed verdict: safe.
+const BALANCED: &str = "fn g(high: int #high, low: int) {
+    let i: int = 0;
+    while (i < low) { i = i + 1; }
+}";
+
+fn analyze_src(src: &str, func: &str, budget: Budget) -> blazer::core::AnalysisOutcome {
+    let program = blazer::lang::compile(src).unwrap();
     Blazer::new(Config::microbench().with_budget(budget))
-        .analyze(&program, "f")
+        .analyze(&program, func)
         .expect("analysis returns a verdict, never panics")
+}
+
+fn analyze_with(budget: Budget) -> blazer::core::AnalysisOutcome {
+    analyze_src(LEAKY, "f", budget)
 }
 
 #[test]
@@ -182,4 +192,26 @@ fn env_fault_spec_is_honored_at_install_time() {
         "verdict: {}",
         out.verdict
     );
+}
+
+#[test]
+fn tiny_budget_fuzz_never_panics_and_stays_sound() {
+    let _env = env_guard();
+    // Sweep starvation levels across both verdict polarities. Every
+    // analysis must answer (no panic, no error), and no starvation level
+    // may flip a verdict to the unsound side: leaky never Safe, balanced
+    // never Attack. The deadline is a backstop so an under-starved run
+    // cannot stretch the sweep.
+    for cap in [0u64, 1, 2, 3, 5, 8, 13, 21] {
+        for (src, func, leaky) in [(LEAKY, "f", true), (BALANCED, "g", false)] {
+            let budget =
+                Budget::unlimited().with_max_lp_calls(cap).with_deadline(Duration::from_secs(10));
+            let out = analyze_src(src, func, budget);
+            if leaky {
+                assert!(!out.verdict.is_safe(), "lp cap {cap}: leaky verdict {}", out.verdict);
+            } else {
+                assert!(!out.verdict.is_attack(), "lp cap {cap}: balanced verdict {}", out.verdict);
+            }
+        }
+    }
 }

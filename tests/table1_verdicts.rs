@@ -17,6 +17,14 @@ fn matches_paper(name: &str) -> bool {
     let b = by_name(name).expect("benchmark exists");
     let program = b.compile();
     let outcome = Blazer::new(config_for(b.group)).analyze(&program, b.function).expect("analyzes");
+    // Every verdict carries its leakage, pinned by polarity: a proof of
+    // safety leaks exactly 0 bits, an attack at least 1 bit.
+    let bits = outcome.leakage.bits;
+    match outcome.verdict {
+        Verdict::Safe => assert_eq!(bits, 0.0, "{name}: safe verdict leaks {bits} bits"),
+        Verdict::Attack(_) => assert!(bits >= 1.0, "{name}: attack leaks only {bits} bits"),
+        Verdict::Unknown(_) => {}
+    }
     matches!(
         (&outcome.verdict, b.expected),
         (Verdict::Safe, Expected::Safe)
