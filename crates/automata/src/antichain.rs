@@ -42,19 +42,16 @@
 //!
 //! # Counters
 //!
-//! The per-analysis counters (`macro_states_explored`, `antichain_prunes`)
-//! accumulate on a thread-local [`StatsCollector`], installed by the driver
-//! exactly like `blazer_ir::budget` — worker threads install a clone of the
-//! same `Arc` so one analysis gets one ledger.
+//! Every search adds its macro-states explored and prunes to the installed
+//! `blazer_ir::budget` ledger, the one the driver installs per analysis and
+//! every worker thread re-installs, so counts aggregate across workers.
+//! [`AntichainStats`] is the per-analysis view of those two counters.
 
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
 use crate::Sym;
 use blazer_ir::budget::{self, Exhausted};
-use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A deterministic, complete automaton whose states are produced on demand.
 ///
@@ -272,8 +269,8 @@ fn search<A: LazyDfa>(a: &A, budgeted: bool) -> Result<Option<Vec<Sym>>, Exhaust
     let mut explored = 0u64;
     let mut prunes = 0u64;
     let out = search_inner(a, budgeted, &mut explored, &mut prunes);
-    note_explored(explored);
-    note_prunes(prunes);
+    budget::note_macro_states(explored);
+    budget::note_antichain_prunes(prunes);
     out
 }
 
@@ -414,7 +411,8 @@ pub(crate) fn dfa_disjoint_unbudgeted(a: &Dfa, b: &Dfa) -> bool {
 // Counters.
 // ---------------------------------------------------------------------------
 
-/// A snapshot of the antichain engine's work counters for one analysis.
+/// The antichain engine's work counters for one analysis, as read off the
+/// budget ledger ([`blazer_ir::budget::BudgetReport`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AntichainStats {
     /// Macro-states expanded by the lazy searches.
@@ -424,89 +422,12 @@ pub struct AntichainStats {
     pub antichain_prunes: u64,
 }
 
-/// The shared, thread-safe counter ledger behind [`AntichainStats`].
-/// Install one per analysis; worker threads install a clone of the same
-/// [`Arc`] so counts aggregate globally (mirroring `blazer_ir::budget`).
-#[derive(Debug, Default)]
-pub struct StatsCollector {
-    explored: AtomicU64,
-    prunes: AtomicU64,
-}
-
-impl StatsCollector {
-    /// A fresh ledger behind an [`Arc`], ready to install.
-    pub fn new() -> Arc<StatsCollector> {
-        Arc::new(StatsCollector::default())
-    }
-
-    /// Activates this ledger on the current thread until the returned guard
-    /// drops (restoring whatever was installed before — installs stack).
-    pub fn install(self: &Arc<Self>) -> StatsGuard {
-        let previous = ACTIVE_STATS.with(|a| a.borrow_mut().replace(Arc::clone(self)));
-        StatsGuard { previous }
-    }
-
-    /// The counters accumulated so far.
-    pub fn snapshot(&self) -> AntichainStats {
-        AntichainStats {
-            macro_states_explored: self.explored.load(Ordering::Relaxed),
-            antichain_prunes: self.prunes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// RAII guard returned by [`StatsCollector::install`].
-#[derive(Debug)]
-pub struct StatsGuard {
-    previous: Option<Arc<StatsCollector>>,
-}
-
-impl Drop for StatsGuard {
-    fn drop(&mut self) {
-        ACTIVE_STATS.with(|a| *a.borrow_mut() = self.previous.take());
-    }
-}
-
-thread_local! {
-    static ACTIVE_STATS: RefCell<Option<Arc<StatsCollector>>> = const { RefCell::new(None) };
-}
-
-/// The ledger installed on the current thread, for handing to worker
-/// threads (which `install` it themselves). `None` when none is installed.
-pub fn stats_handle() -> Option<Arc<StatsCollector>> {
-    ACTIVE_STATS.with(|a| a.borrow().clone())
-}
-
-fn note_explored(n: u64) {
-    if n > 0 {
-        with_stats(|s| {
-            s.explored.fetch_add(n, Ordering::Relaxed);
-        });
-    }
-}
-
-fn note_prunes(n: u64) {
-    if n > 0 {
-        with_stats(|s| {
-            s.prunes.fetch_add(n, Ordering::Relaxed);
-        });
-    }
-}
-
-fn with_stats(f: impl FnOnce(&StatsCollector)) {
-    ACTIVE_STATS.with(|a| {
-        if let Some(s) = a.borrow().as_deref() {
-            f(s);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops;
     use crate::regex::Regex;
-    use blazer_ir::budget::{Budget, Resource};
+    use blazer_ir::budget::{self, Budget, Resource};
     use std::time::Duration;
 
     fn nfa(r: &Regex, alpha: u32) -> Nfa {
@@ -600,42 +521,57 @@ mod tests {
         let sigma_star = any.star();
         let left = nfa(&family, 2);
         let right = nfa(&sigma_star, 2);
-        let stats = StatsCollector::new();
-        let _guard = stats.install();
+        let _guard = Budget::unlimited().install();
         assert!(nfa_included(&left, &right).unwrap());
-        let snap = stats.snapshot();
+        let report = budget::report();
         // The eager engine pays the full exponential determinization.
         assert!(dfa(&family, 2).n_states() as u64 > 1 << N);
         // The antichain stays linear (with comfortable slack).
         assert!(
-            snap.macro_states_explored < 16 * (N as u64 + 2),
+            report.macro_states_explored < 16 * (N as u64 + 2),
             "explored {} macro-states",
-            snap.macro_states_explored
+            report.macro_states_explored
         );
-        assert!(snap.antichain_prunes > 0);
+        assert!(report.antichain_prunes > 0);
     }
 
     #[test]
     fn stats_ledger_installs_stack_and_aggregate_across_threads() {
-        let outer = StatsCollector::new();
-        let _outer_guard = outer.install();
+        // `(0|1)*·1·(0|1)² ⊆ Σ*` both explores and prunes.
+        let any = Regex::symbol(0).or(Regex::symbol(1));
+        let a =
+            nfa(&any.clone().star().then(Regex::symbol(1)).then(any.clone()).then(any.clone()), 2);
+        let b = nfa(&any.star(), 2);
+        let search = || assert!(nfa_included(&a, &b).unwrap());
+        // One search's counts, on a ledger of its own.
+        let one = {
+            let _guard = Budget::unlimited().install();
+            search();
+            budget::report()
+        };
+        assert!(one.macro_states_explored > 0 && one.antichain_prunes > 0, "{one:?}");
+        let _outer_guard = Budget::unlimited().install();
         {
-            let inner = StatsCollector::new();
-            let _inner_guard = inner.install();
-            note_explored(3);
-            assert_eq!(inner.snapshot().macro_states_explored, 3);
+            // A nested install takes the counts while its guard lives.
+            let _inner_guard = Budget::unlimited().install();
+            search();
+            assert_eq!(budget::report().macro_states_explored, one.macro_states_explored);
         }
-        // Outer ledger restored; a worker thread lands on the same ledger.
-        let handle = stats_handle().expect("ledger installed");
+        // Outer ledger restored and untouched; two worker threads land on
+        // it through the shared handle and their counts add up.
+        assert_eq!(budget::report().macro_states_explored, 0);
+        let handle = budget::handle().expect("ledger installed");
         std::thread::scope(|s| {
-            s.spawn(move || {
-                let _g = handle.install();
-                note_explored(5);
-            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let _g = handle.install();
+                    search();
+                });
+            }
         });
-        let snap = outer.snapshot();
-        assert_eq!(snap.macro_states_explored, 5);
-        assert_eq!(snap.antichain_prunes, 0);
+        let both = budget::report();
+        assert_eq!(both.macro_states_explored, 2 * one.macro_states_explored);
+        assert_eq!(both.antichain_prunes, 2 * one.antichain_prunes);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! JSON (default `BENCH_table1.json`, override with `BLAZER_BENCH_JSON`)
 //! recording per-benchmark verdicts and wall times plus the evaluation
 //! thread count, so the perf trajectory is trackable across commits:
-//! compare `BLAZER_THREADS=1` against `BLAZER_THREADS=4` runs.
+//! compare `BLAZER_THREADS=1` against `BLAZER_THREADS=4` runs. Those two
+//! variables, `BLAZER_THREADS` (evaluation width) and `BLAZER_FAULT`
+//! (fault injection), are read by [`config_for`] into each row's `Config`;
+//! the analysis library itself reads no environment.
 
 use blazer_bench::{config_for, try_run_benchmark, Row};
 use blazer_core::{AntichainStats, SeedStats, Verdict};
@@ -66,7 +69,6 @@ impl JsonRow {
                     Json::obj([
                         ("trails_seeded", Json::from(s.trails_seeded)),
                         ("trails_unseeded", Json::from(s.trails_unseeded)),
-                        ("seeds_rejected", Json::from(s.seeds_rejected)),
                         ("seeded_passes", Json::from(s.seeded_passes)),
                         ("unseeded_passes", Json::from(s.unseeded_passes)),
                     ])

@@ -11,12 +11,21 @@ use blazer_core::{AnalysisOutcome, AntichainStats, Blazer, Config, SeedStats, Ve
 use std::time::Duration;
 
 /// The analysis configuration for a benchmark group (the two observer
-/// models of Sec. 6.1).
+/// models of Sec. 6.1), with the harness environment resolved into it:
+/// `BLAZER_THREADS` pins the evaluation width and `BLAZER_FAULT` arms
+/// fault injection, alongside the ablation overrides below.
 pub fn config_for(group: Group) -> Config {
     let mut c = match group {
         Group::MicroBench => Config::microbench(),
         Group::Stac | Group::Literature => Config::stac(),
     };
+    let threads = std::env::var("BLAZER_THREADS").ok().and_then(|s| s.trim().parse().ok());
+    if let Some(n) = threads.filter(|n: &usize| *n > 0) {
+        c = c.with_threads(n);
+    }
+    if let Some(spec) = std::env::var("BLAZER_FAULT").ok().filter(|s| !s.trim().is_empty()) {
+        c.budget = c.budget.with_fault(blazer_core::FaultSpec::parse(&spec));
+    }
     // Domain override for ablation experiments: BLAZER_DOMAIN=interval|zone|octagon|polyhedra.
     if let Ok(d) = std::env::var("BLAZER_DOMAIN") {
         c.domain = match d.as_str() {
@@ -53,7 +62,7 @@ pub struct Row {
     /// snapshot can track the incremental-seeding savings across commits.
     pub fixpoint_passes: u64,
     /// Per-trail seeding counters (trails seeded vs from-⊥, top-level pass
-    /// split, rejected seeds).
+    /// split).
     pub seed_stats: SeedStats,
     /// Antichain automata-engine counters (macro-states explored and
     /// prunes).

@@ -9,7 +9,7 @@ use crate::trail::BranchSyms;
 use crate::tree::{NodeStatus, SplitKind, TrailTree};
 use blazer_absint::transfer::entry_state;
 use blazer_absint::{DimMap, EdgeAlphabet, ProductGraph, SeedMap};
-use blazer_automata::{antichain, AntichainStats, Dfa, Regex};
+use blazer_automata::{AntichainStats, Dfa, Regex};
 use blazer_bounds::{graph_bounds_seeded, BoundResult, Observer, SeededBounds};
 use blazer_domains::{AbstractDomain, IntervalVec, Octagon, Polyhedron, Zone};
 use blazer_interp::Value;
@@ -64,23 +64,26 @@ impl fmt::Display for DomainKind {
     }
 }
 
-/// Analysis configuration.
+/// How many times a loop may be unrolled by star splits along one
+/// refinement path, and the largest regex size a single trail may reach:
+/// the paper's "parameters around the size and form of the partitions"
+/// (Sec. 4.4), fixed at the values every configuration uses.
+const MAX_STAR_UNROLLINGS: usize = 2;
+/// See [`MAX_STAR_UNROLLINGS`].
+const MAX_TRAIL_SIZE: usize = 20_000;
+
+/// Analysis configuration. An analysis reads nothing else: program entry
+/// points resolve their flags and environment into this value.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// The attacker's observational model (narrowness criterion).
     pub observer: Observer,
     /// Maximum number of trail-tree nodes before giving up.
     pub max_trails: usize,
-    /// Maximum regex size of a single trail.
-    pub max_trail_size: usize,
     /// The machine cost model.
     pub cost_model: CostModel,
     /// Whether to search for an attack specification after safety fails.
     pub synthesize_attack: bool,
-    /// How many times a loop may be unrolled by star splits along one
-    /// refinement path (the paper's "parameters around the size and form
-    /// of the partitions", Sec. 4.4).
-    pub max_star_unrollings: usize,
     /// The numeric abstract domain to analyze with.
     pub domain: DomainKind,
     /// Resource caps for one analysis (unlimited by default). On
@@ -88,18 +91,16 @@ pub struct Config {
     /// [`Verdict::Unknown`] with [`UnknownReason::BudgetExhausted`].
     pub budget: Budget,
     /// Number of worker threads for per-round trail evaluation. `None`
-    /// defers to the `BLAZER_THREADS` environment variable, falling back to
-    /// the machine's available parallelism; `Some(1)` evaluates strictly
-    /// sequentially on the calling thread (no workers are spawned).
+    /// means the machine's available parallelism; `Some(1)` evaluates
+    /// strictly sequentially on the calling thread (no workers are spawned).
     /// Verdicts, tree shapes, and degradation lists are identical at every
     /// width — threads change wall-clock time only.
     pub threads: Option<usize>,
     /// Whether child trails' fixpoints are seeded from their parent's
     /// converged post-states (incremental fixpoint seeding). Defaults to
-    /// `true`; `BLAZER_NO_SEED=1` disables it at runtime for A/B
-    /// comparisons. Seeding changes pass counts, never verdicts: on debug
-    /// builds every seeded result is checked against a from-⊥ rerun and
-    /// rejected (with a from-⊥ fallback) if it differs.
+    /// `true`. Seeding changes pass counts, never verdicts or tree shape
+    /// (a node's bounds may narrow to a different sound value): the
+    /// `seeding_equivalence` tests compare both settings node by node.
     pub seed_fixpoints: bool,
 }
 
@@ -109,10 +110,8 @@ impl Config {
         Config {
             observer: Observer::degree(),
             max_trails: 48,
-            max_trail_size: 20_000,
             cost_model: CostModel::unit(),
             synthesize_attack: true,
-            max_star_unrollings: 2,
             domain: DomainKind::Polyhedra,
             budget: Budget::unlimited(),
             threads: None,
@@ -184,30 +183,13 @@ impl Config {
         self
     }
 
-    /// Whether incremental fixpoint seeding is active: the config flag,
-    /// unless `BLAZER_NO_SEED` (set to anything but `0`) switches it off.
-    pub fn effective_seeding(&self) -> bool {
-        if std::env::var("BLAZER_NO_SEED").is_ok_and(|v| v.trim() != "0" && !v.trim().is_empty()) {
-            return false;
-        }
-        self.seed_fixpoints
-    }
-
-    /// The evaluation width actually used: an explicit [`Config::threads`]
-    /// wins, then a positive `BLAZER_THREADS` environment variable, then the
-    /// machine's available parallelism.
+    /// The evaluation width actually used: an explicit [`Config::threads`],
+    /// else the machine's available parallelism.
     pub fn effective_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n.max(1);
+        match self.threads {
+            Some(n) => n.max(1),
+            None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         }
-        if let Some(n) =
-            std::env::var("BLAZER_THREADS").ok().and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            if n > 0 {
-                return n;
-            }
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 }
 
@@ -336,9 +318,7 @@ impl fmt::Display for DegradeReason {
 
 /// What incremental fixpoint seeding did during one analysis: how many
 /// evaluated trails started from a parent's post-states vs. from ⊥, and
-/// how many seeded results the debug-path soundness check rejected
-/// (falling back to the from-⊥ result — nonzero only when a seed lost
-/// precision, which the committed benchmark suite never exhibits).
+/// the top-level fixpoint passes each kind took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedStats {
     /// Trails whose top-level fixpoint started from a parent seed.
@@ -346,8 +326,6 @@ pub struct SeedStats {
     /// Trails evaluated from ⊥ (the root, cache-missing parents, degraded
     /// ladders, or seeding disabled).
     pub trails_unseeded: u64,
-    /// Seeded results rejected by the debug equivalence check.
-    pub seeds_rejected: u64,
     /// Fixpoint passes of seeded top-level runs (their nested loop
     /// summaries excluded).
     pub seeded_passes: u64,
@@ -364,7 +342,6 @@ impl SeedStats {
             self.trails_unseeded += 1;
             self.unseeded_passes += out.top_passes;
         }
-        self.seeds_rejected += u64::from(out.seed_rejected);
     }
 }
 
@@ -392,7 +369,7 @@ pub struct AnalysisOutcome {
     /// and when seeding is disabled).
     pub seed_stats: SeedStats,
     /// What the antichain automata engine did: macro-states explored and
-    /// ⊆-dominated macro-states pruned.
+    /// ⊆-dominated macro-states pruned (read off the budget ledger).
     pub antichain_stats: AntichainStats,
     /// The observer cost model this analysis priced costs under. Witness
     /// concretization must measure with the same model, and responses
@@ -498,8 +475,6 @@ struct EvalOut {
     post: Option<SeedMap>,
     /// Whether the fixpoint actually started from a parent seed.
     seeded: bool,
-    /// Whether the debug soundness check rejected the seeded result.
-    seed_rejected: bool,
     /// Top-level fixpoint passes of the rung that produced `result`.
     top_passes: u64,
 }
@@ -535,81 +510,71 @@ impl Blazer {
     /// Returns [`CoreError`] when the program is malformed or the function
     /// missing.
     pub fn analyze(&self, program: &Program, func: &str) -> Result<AnalysisOutcome, CoreError> {
-        // The budget governs everything downstream of this point; the guard
+        program.validate().map_err(CoreError::InvalidProgram)?;
+        let f =
+            program.function(func).ok_or_else(|| CoreError::NoSuchFunction(func.to_string()))?;
+        // The budget governs everything downstream of this point, and its
+        // ledger is the analysis' one set of work counters; the guard
         // restores any previously installed budget on every return path.
         let _budget_guard = self.config.budget.install();
-        // One stats ledger per analysis: the antichain engine's counters
-        // accumulate here (worker threads re-install the same collector).
-        let stats = antichain::StatsCollector::new();
-        let _stats_guard = stats.install();
-        let mut outcome = self.decide(program, func, &stats)?;
-        outcome.leakage = leakage::measure(&outcome, &self.config.observer);
+        let dims = DimMap::new(f);
+        let high_seeds = high_seeds(f, &dims);
+        let mut outcome = self.decide(program, f, &dims, &high_seeds);
+        outcome.leakage = leakage::measure(&outcome, &self.config.observer, &high_seeds);
         Ok(outcome)
     }
 
     /// The Fig. 2 decision procedure behind [`Blazer::analyze`], run under
-    /// the analysis' installed budget and stats collector. The returned
-    /// outcome's `leakage` is left at zero for the caller to measure.
+    /// the analysis' installed budget. The returned outcome's `leakage` is
+    /// left at zero for the caller to measure.
     fn decide(
         &self,
         program: &Program,
-        func: &str,
-        stats: &antichain::StatsCollector,
-    ) -> Result<AnalysisOutcome, CoreError> {
-        program.validate().map_err(CoreError::InvalidProgram)?;
-        let f =
-            program.function(func).ok_or_else(|| CoreError::NoSuchFunction(func.to_string()))?;
+        f: &Function,
+        dims: &DimMap,
+        high_seeds: &BTreeSet<usize>,
+    ) -> AnalysisOutcome {
         let start = Instant::now();
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut seed_stats = SeedStats::default();
 
         let cfg = Cfg::new(f);
         let alphabet = EdgeAlphabet::new(&cfg);
-        let dims = DimMap::new(f);
         let taint = blazer_taint::analyze_function(program, f);
-        let finish =
-            |verdict, tree, safety_time, attack_time, degradations, seed_stats| AnalysisOutcome {
-                function: func.to_string(),
+        let finish = |verdict, tree, safety_time, attack_time, degradations, seed_stats| {
+            let budget_report = budget::report();
+            AnalysisOutcome {
+                function: f.name().to_string(),
                 verdict,
                 tree,
                 safety_time,
                 attack_time,
                 n_blocks: f.blocks().len(),
                 degradations,
-                budget_report: budget::report(),
+                antichain_stats: AntichainStats {
+                    macro_states_explored: budget_report.macro_states_explored,
+                    antichain_prunes: budget_report.antichain_prunes,
+                },
+                budget_report,
                 seed_stats,
-                antichain_stats: stats.snapshot(),
                 cost_model: self.config.cost_model.clone(),
                 leakage: Leakage::none(),
-            };
+            }
+        };
 
         // Fast path: with no secret influence on control flow or call
         // costs, there is nothing to leak (nosecret_safe).
         if !has_secret_influence(f, &taint) {
             let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
             tree.node_mut(0).status = NodeStatus::Narrow;
-            return Ok(finish(
-                Verdict::Safe,
-                tree,
-                start.elapsed(),
-                None,
-                degradations,
-                seed_stats,
-            ));
+            return finish(Verdict::Safe, tree, start.elapsed(), None, degradations, seed_stats);
         }
 
         let branches = branch_syms(f, &alphabet, &taint);
-        let high_seeds: BTreeSet<usize> = f
-            .params()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.label.is_high())
-            .map(|(i, _)| dims.seed(i))
-            .collect();
 
         let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
         let mut star_depth: Vec<usize> = vec![0];
-        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims: &dims };
+        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims };
         let mut cache = BoundCache::default();
         let width = self.config.effective_threads();
 
@@ -639,7 +604,7 @@ impl Blazer {
                 &mut seed_stats,
                 width,
             ) {
-                tree.node_mut(leaf).status = judge(&b, &self.config.observer, &high_seeds);
+                tree.node_mut(leaf).status = judge(&b, &self.config.observer, high_seeds);
                 tree.node_mut(leaf).bounds = Some(b);
             }
             if leaves
@@ -657,7 +622,7 @@ impl Blazer {
                 if tree.len() + 2 > self.config.max_trails {
                     continue;
                 }
-                let allow_star = star_depth[leaf] < self.config.max_star_unrollings;
+                let allow_star = star_depth[leaf] < MAX_STAR_UNROLLINGS;
                 let split = refine_partition(
                     &tree.node(leaf).trail,
                     &branches,
@@ -671,12 +636,12 @@ impl Blazer {
                             br,
                             alphabet.len() as u32,
                             RefineMode::Safe,
-                            self.config.max_trail_size,
+                            MAX_TRAIL_SIZE,
                         )
                     })
                 });
                 let Some(split) = split else { continue };
-                if split.parts.iter().any(|p| p.size() > self.config.max_trail_size) {
+                if split.parts.iter().any(|p| p.size() > MAX_TRAIL_SIZE) {
                     continue;
                 }
                 let child_depth = star_depth[leaf] + usize::from(split.is_star);
@@ -692,30 +657,30 @@ impl Blazer {
         };
         let safety_time = start.elapsed();
         if safe {
-            return Ok(finish(Verdict::Safe, tree, safety_time, None, degradations, seed_stats));
+            return finish(Verdict::Safe, tree, safety_time, None, degradations, seed_stats);
         }
         if let Some(resource) = budget_stop {
             // A Wide leaf under an exhausted budget proves nothing: the
             // degraded bounds are over-approximations. Surface the budget,
             // not a (possibly wrong) attack.
-            return Ok(finish(
+            return finish(
                 Verdict::Unknown(UnknownReason::BudgetExhausted(resource)),
                 tree,
                 safety_time,
                 None,
                 degradations,
                 seed_stats,
-            ));
+            );
         }
         if !self.config.synthesize_attack {
-            return Ok(finish(
+            return finish(
                 Verdict::Unknown(UnknownReason::AttackSynthesisDisabled),
                 tree,
                 safety_time,
                 None,
                 degradations,
                 seed_stats,
-            ));
+            );
         }
 
         // ---- Attack loop: RefinePartition(vulnerable) + CheckAttack ------
@@ -746,7 +711,7 @@ impl Blazer {
                 if tree.len() + 2 > self.config.max_trails {
                     break;
                 }
-                let allow_star = star_depth[leaf] < self.config.max_star_unrollings;
+                let allow_star = star_depth[leaf] < MAX_STAR_UNROLLINGS;
                 let split = refine_partition(
                     &tree.node(leaf).trail,
                     &branches,
@@ -760,12 +725,12 @@ impl Blazer {
                             br,
                             alphabet.len() as u32,
                             RefineMode::Vulnerable,
-                            self.config.max_trail_size,
+                            MAX_TRAIL_SIZE,
                         )
                     })
                 });
                 let Some(split) = split else { continue };
-                if split.parts.iter().any(|p| p.size() > self.config.max_trail_size) {
+                if split.parts.iter().any(|p| p.size() > MAX_TRAIL_SIZE) {
                     continue;
                 }
                 split_any = true;
@@ -790,7 +755,7 @@ impl Blazer {
                 &mut seed_stats,
                 width,
             ) {
-                tree.node_mut(id).status = judge(&b, &self.config.observer, &high_seeds);
+                tree.node_mut(id).status = judge(&b, &self.config.observer, high_seeds);
                 tree.node_mut(id).bounds = Some(b);
             }
             // CHECKATTACK phase: identical pair order to a strictly
@@ -828,14 +793,7 @@ impl Blazer {
                 break;
             }
         }
-        Ok(finish(
-            verdict,
-            tree,
-            safety_time,
-            Some(attack_start.elapsed()),
-            degradations,
-            seed_stats,
-        ))
+        finish(verdict, tree, safety_time, Some(attack_start.elapsed()), degradations, seed_stats)
     }
 
     /// Evaluates a batch of tree nodes (one refinement round's pending
@@ -853,7 +811,7 @@ impl Blazer {
     ///    thread at width 1 (exactly the pre-parallel behavior), otherwise
     ///    fanned out over `std::thread::scope` workers that pull jobs from a
     ///    shared index and install this analysis' shared budget handle, so
-    ///    every resource cap stays one global ledger.
+    ///    every resource cap and work counter stays one global ledger.
     /// 3. **Merge** in `nodes` order: degradations, cache insertions, and
     ///    results are committed in leaf order regardless of which worker
     ///    finished first. A worker panic (e.g. an injected fault) is
@@ -878,7 +836,7 @@ impl Blazer {
             /// Duplicate of another node's trail in this same batch.
             Dup(usize),
         }
-        let seeding = self.config.effective_seeding();
+        let seeding = self.config.seed_fixpoints;
         let BoundCache { bounds: cached_bounds, graphs } = cache;
         let mut plan: Vec<(usize, Source)> = Vec::with_capacity(nodes.len());
         let mut jobs: Vec<EvalJob> = Vec::new();
@@ -989,17 +947,13 @@ impl Blazer {
         let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let handle = budget::handle();
-        let stats = antichain::stats_handle();
         std::thread::scope(|scope| {
             for _ in 0..width.min(jobs.len()) {
                 scope.spawn(|| {
-                    // All caps (and BLAZER_FAULT injection) stay globally
-                    // enforced: the worker consumes against the same shared
-                    // ledger the driver thread installed. The antichain
-                    // stats collector is shared the same way, so counters
-                    // aggregate across workers.
+                    // All caps, fault injection and work counters stay
+                    // global: the worker consumes against the same shared
+                    // ledger the driver thread installed.
                     let _budget = handle.as_ref().map(|h| h.install());
-                    let _stats = stats.as_ref().map(|s| s.install());
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         if i >= jobs.len() {
@@ -1032,7 +986,6 @@ impl Blazer {
                         degradations: Vec::new(),
                         post: None,
                         seeded: false,
-                        seed_rejected: false,
                         top_passes: 0,
                     });
                 }
@@ -1058,10 +1011,7 @@ impl Blazer {
     /// applied only on the ladder's first rung — coarser retries restart
     /// from ⊥ exactly as before — and the trail's own post-states are
     /// retained for its future children only when that first rung completes
-    /// cleanly (no overflow, no budget exhaustion). On debug builds (or
-    /// under `BLAZER_CHECK_SEEDS`) every seeded result is re-derived from ⊥
-    /// and must match bit-for-bit; a divergence discards the seeded result
-    /// in favor of the baseline (or panics under `BLAZER_ASSERT_SEEDS`).
+    /// cleanly (no overflow, no budget exhaustion).
     fn bounds_for(
         &self,
         ctx: &EvalCtx<'_>,
@@ -1101,7 +1051,6 @@ impl Blazer {
                             degradations: Vec::new(),
                             post: None,
                             seeded: false,
-                            seed_rejected: false,
                             top_passes: 0,
                         };
                     }
@@ -1142,7 +1091,7 @@ impl Blazer {
         /// Extra LP calls granted per coarser-domain retry.
         const LP_RESCUE: u64 = 256;
         let cm = &self.config.cost_model;
-        let collect = self.config.effective_seeding();
+        let collect = self.config.seed_fixpoints;
         let run_domain = |d: DomainKind, use_seed: Option<&SeedMap>, want_post: bool| match d {
             DomainKind::Interval => {
                 run::<IntervalVec>(program, f, dims, &graph, cm, use_seed, want_post)
@@ -1158,7 +1107,6 @@ impl Blazer {
         let mut domain = self.config.domain;
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut seeded = false;
-        let mut seed_rejected = false;
         let mut top_passes: u64 = 0;
         let mut post: Option<SeedMap> = None;
         // Run each rung with a clean thread-local overflow flag: saturation
@@ -1227,51 +1175,12 @@ impl Blazer {
             if want_post && budget::exhausted().is_none() {
                 post = out.post.take();
             }
-            if out.seeded && self.check_seeds_enabled() {
-                let mut baseline = run_domain(domain, None, want_post);
-                // The re-run's own saturation must not leak into the outer
-                // overflow bookkeeping.
-                blazer_domains::rational::take_overflow();
-                if baseline.result != out.result {
-                    if std::env::var("BLAZER_ASSERT_SEEDS")
-                        .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
-                    {
-                        panic!(
-                            "seeded fixpoint diverged from the from-⊥ baseline \
-                             for trail {node} in {domain}"
-                        );
-                    }
-                    budget::note_degradation(format!(
-                        "driver: trail {node}: seeded fixpoint diverged from the \
-                         from-⊥ baseline in {domain}; discarding the seeded result"
-                    ));
-                    seed_rejected = true;
-                    post = baseline.post.take();
-                    break baseline.result;
-                }
-            }
             break out.result;
         };
         if outer_overflow {
             blazer_domains::rational::set_overflow();
         }
-        EvalOut { result, degradations, post, seeded, seed_rejected, top_passes }
-    }
-
-    /// Whether seeded fixpoints are cross-checked against a from-⊥ rerun.
-    ///
-    /// On by default in debug builds; `BLAZER_CHECK_SEEDS=1` forces it on
-    /// elsewhere and `BLAZER_CHECK_SEEDS=0` forces it off (e.g. for tests
-    /// that A/B seeded vs unseeded outcomes themselves and don't need every
-    /// trail double-run). Never runs under a finite budget or fault
-    /// injection, where the extra baseline run would consume shared
-    /// resources and change the very behavior under test.
-    fn check_seeds_enabled(&self) -> bool {
-        let requested = match std::env::var("BLAZER_CHECK_SEEDS") {
-            Ok(v) => !v.trim().is_empty() && v.trim() != "0",
-            Err(_) => cfg!(debug_assertions),
-        };
-        requested && self.config.budget.is_unlimited() && std::env::var("BLAZER_FAULT").is_err()
+        EvalOut { result, degradations, post, seeded, top_passes }
     }
 }
 
@@ -1325,6 +1234,17 @@ fn check_attack_pair(
     } else {
         None
     }
+}
+
+/// The trail-space dimensions of `f`'s secret (`#high`) parameters: the
+/// seeds a narrow bound may not depend on.
+fn high_seeds(f: &Function, dims: &DimMap) -> BTreeSet<usize> {
+    f.params()
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.label.is_high())
+        .map(|(i, _)| dims.seed(i))
+        .collect()
 }
 
 /// CHECKSAFE's per-component judgment.

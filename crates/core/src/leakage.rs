@@ -18,18 +18,22 @@
 //! up in different classes, so an attack's witnessing pair always yields at
 //! least two classes (≥ 1 bit).
 //!
-//! A *wide* leaf (its own `[lo, hi]` spread exceeds what the observer
-//! dismisses as noise) is itself a leaking object: executions inside the
-//! same trail class are mutually distinguishable. Each wide leaf therefore
-//! contributes one extra distinguishable class beyond the clustering.
+//! A *wide* leaf (its own `[lo, hi]` fails the narrowness test CheckSafe
+//! applies) is itself a leaking object: executions inside the same trail
+//! class are mutually distinguishable. Each wide leaf therefore contributes
+//! one extra distinguishable class beyond the clustering. Wideness is
+//! judged from the bounds, not the node status: the two leaves of a
+//! reported attack carry `Attack` status whether or not their own ranges
+//! are narrow.
 //!
 //! A `Safe` verdict means the partition proves every pair of secret-split
 //! siblings indistinguishable and every class narrow: the attacker learns
 //! nothing, and the report is pinned to one class / 0 bits by definition.
 
-use crate::{AnalysisOutcome, NodeStatus};
+use crate::AnalysisOutcome;
 use blazer_bounds::{CostExpr, Observer};
 use blazer_domains::Rat;
+use std::collections::BTreeSet;
 
 /// The quantified-leakage estimate attached to every verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +74,8 @@ fn representative(observer: &Observer, (lo, hi): Range<'_>) -> f64 {
     }
 }
 
-/// Computes the leakage estimate for one analysis outcome under `observer`.
+/// Computes the leakage estimate for one analysis outcome under `observer`,
+/// whose narrowness test treats `high_seeds` as the secret dimensions.
 ///
 /// Safe verdicts report 0 bits unconditionally (the proof says the classes
 /// are indistinguishable). Otherwise the estimate is built from the
@@ -78,7 +83,11 @@ fn representative(observer: &Observer, (lo, hi): Range<'_>) -> f64 {
 /// a partial tree (budget exhaustion) yields a *lower* bound on
 /// the leakage of the full partition, which is the sound direction for an
 /// estimate that answers "at least how bad is it".
-pub fn measure(outcome: &AnalysisOutcome, observer: &Observer) -> Leakage {
+pub fn measure(
+    outcome: &AnalysisOutcome,
+    observer: &Observer,
+    high_seeds: &BTreeSet<usize>,
+) -> Leakage {
     if outcome.verdict.is_safe() {
         return Leakage::none();
     }
@@ -90,7 +99,7 @@ pub fn measure(outcome: &AnalysisOutcome, observer: &Observer) -> Leakage {
         let Some(bounds) = &node.bounds else { continue };
         let Some(lo) = &bounds.lower else { continue }; // infeasible: L(trail) = ∅
         ranges.push((lo, bounds.upper.as_ref()));
-        if matches!(node.status, NodeStatus::Wide | NodeStatus::Attack) {
+        if !bounds.upper.as_ref().is_some_and(|hi| observer.is_narrow(lo, hi, high_seeds)) {
             wide_leaves += 1;
         }
     }
@@ -151,7 +160,7 @@ mod tests {
             Config::microbench(),
         );
         assert!(out.verdict.is_safe());
-        let l = measure(&out, &Observer::degree());
+        let l = &out.leakage;
         assert_eq!((l.bits, l.classes), (0.0, 1));
     }
 
@@ -163,10 +172,27 @@ mod tests {
             Config::microbench(),
         );
         assert!(out.verdict.is_attack());
-        let l = measure(&out, &Observer::degree());
+        let l = &out.leakage;
         assert!(l.bits >= 1.0, "attack must leak ≥ 1 bit, got {l:?}");
         assert!(l.classes >= 2);
         assert!(l.max_gap.is_some_and(|g| g > 32.0), "gap exceeds epsilon: {l:?}");
+    }
+
+    #[test]
+    fn point_bounded_attack_leaves_are_not_wide() {
+        // Two point-bounded classes, 100 and 1 ticks: the attacker tells
+        // them apart and learns exactly one bit. The attack pair's own
+        // ranges are narrow, so neither adds a class of its own.
+        let out = analyze(
+            "fn check(high: int #high, low: int) { \
+                if (high == 0) { tick(100); } else { tick(1); } \
+            }",
+            "check",
+            Config::microbench(),
+        );
+        assert!(out.verdict.is_attack());
+        let l = &out.leakage;
+        assert_eq!((l.bits, l.classes, l.wide_leaves), (1.0, 2, 0), "{l:?}");
     }
 
     #[test]
@@ -184,7 +210,7 @@ mod tests {
             Config::microbench(),
         );
         assert!(out.verdict.is_attack());
-        let l = measure(&out, &Observer::degree());
+        let l = &out.leakage;
         assert!(l.classes >= 3, "four separated costs collapse too far: {l:?}");
         assert!(l.bits > 1.0);
         assert!(l.max_gap.is_some_and(|g| g.is_finite() && g > 0.0));

@@ -35,13 +35,21 @@
 //!
 //! # Fault injection
 //!
-//! For robustness tests, a [`FaultSpec`] (programmatic, or parsed from the
-//! `BLAZER_FAULT` environment variable at install time) deterministically
-//! provokes failures: `lp_call:<n>` caps LP calls at `n`, `overflow:<n>`
-//! makes every checked rational operation after the first `n` report
-//! overflow, `deadline:<ms>` imposes a deadline, and `panic:<n>` panics at
-//! the `n`-th LP call — once per process — to exercise `catch_unwind`
-//! isolation in the benchmark harnesses.
+//! For robustness tests, a [`FaultSpec`] carried on the [`Budget`]
+//! deterministically provokes failures: `lp_call:<n>` caps LP calls at `n`,
+//! `overflow:<n>` makes every checked rational operation after the first
+//! `n` report overflow, `deadline:<ms>` imposes a deadline, and `panic:<n>`
+//! panics at the `n`-th LP call — once per process — to exercise
+//! `catch_unwind` isolation in the benchmark harnesses. This module never
+//! reads the environment: program entry points that honor a fault
+//! variable parse it with [`FaultSpec::parse`] into the budget they pass in.
+//!
+//! # Work counters
+//!
+//! Besides the capped resources, the ledger counts work that no cap
+//! governs — the antichain automata engine's macro-states and prunes
+//! ([`note_macro_states`], [`note_antichain_prunes`]) — so one analysis
+//! keeps one ledger, installed once per thread.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -125,10 +133,10 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Parses the `BLAZER_FAULT` syntax: a `|`-separated list of
-    /// `lp_call:<n>`, `overflow:<n>`, `deadline:<ms>`, `panic:<n>` clauses.
-    /// Malformed clauses are ignored (fault injection is best-effort test
-    /// tooling, not user API).
+    /// Parses the fault syntax: a `|`-separated list of `lp_call:<n>`,
+    /// `overflow:<n>`, `deadline:<ms>`, `panic:<n>` clauses. Malformed
+    /// clauses are ignored (fault injection is best-effort test tooling,
+    /// not user API).
     pub fn parse(spec: &str) -> Self {
         let mut out = FaultSpec::default();
         for clause in spec.split('|') {
@@ -143,14 +151,6 @@ impl FaultSpec {
             }
         }
         out
-    }
-
-    fn from_env() -> Option<Self> {
-        let spec = std::env::var("BLAZER_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        Some(FaultSpec::parse(&spec))
     }
 
     /// True when no fault is configured.
@@ -171,8 +171,7 @@ pub struct Budget {
     pub max_fixpoint_passes: Option<u64>,
     /// Cap on driver refinement steps.
     pub max_refinement_steps: Option<u64>,
-    /// Deterministic fault injection (tests only; merged with `BLAZER_FAULT`
-    /// at install time).
+    /// Deterministic fault injection (tests only).
     pub fault: Option<FaultSpec>,
 }
 
@@ -212,30 +211,15 @@ impl Budget {
         self
     }
 
-    /// Whether any cap (or fault) is configured.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Budget::default()
-    }
-
     /// Activates this budget on the current thread until the returned guard
     /// is dropped. Nested installs stack: the inner budget applies while its
-    /// guard lives, then the outer one resumes. The `BLAZER_FAULT`
-    /// environment variable, if set, is merged into the fault spec here so
-    /// each installation re-reads it deterministically.
+    /// guard lives, then the outer one resumes.
     ///
     /// The installed state is shared-capable: [`handle`] hands worker
     /// threads a [`BudgetHandle`] to this same state, so every cap stays a
     /// single global ledger across threads.
     pub fn install(&self) -> BudgetGuard {
-        let mut fault = self.fault.clone().unwrap_or_default();
-        if let Some(env) = FaultSpec::from_env() {
-            fault = FaultSpec {
-                lp_call: env.lp_call.or(fault.lp_call),
-                overflow: env.overflow.or(fault.overflow),
-                deadline: env.deadline.or(fault.deadline),
-                panic_at_lp: env.panic_at_lp.or(fault.panic_at_lp),
-            };
-        }
+        let fault = self.fault.clone().unwrap_or_default();
         let deadline =
             [self.deadline, fault.deadline].into_iter().flatten().min().map(|d| Instant::now() + d);
         let max_lp_calls =
@@ -250,6 +234,8 @@ impl Budget {
             fixpoint_passes: AtomicU64::new(0),
             refinement_steps: AtomicU64::new(0),
             overflow_events: AtomicU64::new(0),
+            macro_states: AtomicU64::new(0),
+            antichain_prunes: AtomicU64::new(0),
             exhausted: AtomicU8::new(0),
             degradations: Mutex::new(Vec::new()),
             fault_overflow_after: fault.overflow,
@@ -273,6 +259,11 @@ pub struct BudgetReport {
     pub refinement_steps: u64,
     /// Rational-overflow events absorbed as precision loss.
     pub overflow_events: u64,
+    /// Macro-states the antichain automata engine expanded.
+    pub macro_states_explored: u64,
+    /// Macro-states the antichain engine discarded (or killed) by
+    /// ⊆-domination.
+    pub antichain_prunes: u64,
     /// Wall-clock time elapsed since the budget was installed.
     pub elapsed: Duration,
     /// The first resource that ran out, if any.
@@ -296,6 +287,8 @@ struct Shared {
     fixpoint_passes: AtomicU64,
     refinement_steps: AtomicU64,
     overflow_events: AtomicU64,
+    macro_states: AtomicU64,
+    antichain_prunes: AtomicU64,
     /// 0 = not exhausted, otherwise [`Resource::code`] of the first trip.
     exhausted: AtomicU8,
     degradations: Mutex<Vec<String>>,
@@ -515,6 +508,17 @@ pub fn note_overflow() {
     });
 }
 
+/// Counts `n` macro-states expanded by the antichain automata engine.
+pub fn note_macro_states(n: u64) {
+    with_active(|active| active.macro_states.fetch_add(n, Ordering::Relaxed));
+}
+
+/// Counts `n` antichain prunes (candidates or live macro-states discarded
+/// by ⊆-domination).
+pub fn note_antichain_prunes(n: u64) {
+    with_active(|active| active.antichain_prunes.fetch_add(n, Ordering::Relaxed));
+}
+
 /// Number of overflow events absorbed so far across all threads sharing the
 /// installed budget.
 pub fn overflow_events() -> u64 {
@@ -582,6 +586,8 @@ pub fn report() -> BudgetReport {
         fixpoint_passes: active.fixpoint_passes.load(Ordering::SeqCst),
         refinement_steps: active.refinement_steps.load(Ordering::SeqCst),
         overflow_events: active.overflow_events.load(Ordering::SeqCst),
+        macro_states_explored: active.macro_states.load(Ordering::Relaxed),
+        antichain_prunes: active.antichain_prunes.load(Ordering::Relaxed),
         elapsed: active.start.elapsed(),
         exhausted: active.exhausted_resource(),
         degradations: active.degradations.lock().unwrap_or_else(|e| e.into_inner()).clone(),

@@ -1,10 +1,11 @@
 //! Router-layer fault injection, for the chaos tests.
 //!
-//! The analysis core already honors `BLAZER_FAULT` (`lp_call:<n>`,
-//! `panic:<n>`, ... — see `blazer_ir::budget::FaultSpec`); this module
+//! The `blazer` CLI and the Table-1 harnesses parse the analysis points of
+//! `BLAZER_FAULT` (`lp_call:<n>`, `panic:<n>`, ... — see
+//! `blazer_ir::budget::FaultSpec`) into an analysis' budget; this module
 //! extends the same `|`-separated `key:<n>` syntax with two router-layer
-//! points, and both parsers ignore each other's keys, so one environment
-//! variable can arm faults at every layer at once:
+//! points, read once when the router starts. Both parsers ignore each
+//! other's keys:
 //!
 //! - `route-connect:<n>` — the next `n` backend connection attempts fail
 //!   before dialing, as a refused connection would.

@@ -70,7 +70,6 @@ pub fn outcome_json(program: &Program, outcome: &AnalysisOutcome, wall_s: f64) -
             Json::obj([
                 ("trails_seeded", Json::from(outcome.seed_stats.trails_seeded)),
                 ("trails_unseeded", Json::from(outcome.seed_stats.trails_unseeded)),
-                ("seeds_rejected", Json::from(outcome.seed_stats.seeds_rejected)),
                 ("seeded_passes", Json::from(outcome.seed_stats.seeded_passes)),
                 ("unseeded_passes", Json::from(outcome.seed_stats.unseeded_passes)),
             ]),

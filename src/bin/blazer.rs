@@ -20,13 +20,19 @@
 //! Trail evaluation is parallel by default (machine parallelism); pin the
 //! width with `--threads N` or the `BLAZER_THREADS` environment variable
 //! (`--threads 1` is strictly sequential). Verdicts are identical at every
-//! width.
+//! width. `BLAZER_FAULT` (for example `panic:1` or `deadline:0`) arms the
+//! budget's fault injection for a direct analysis. These two variables are
+//! read here, into the analysis `Config`; the analysis library reads none,
+//! and `serve` analyzes each request from its body alone. The analysis
+//! flags are parsed once, into the same `AnalyzeRequest` the service
+//! receives, and the direct analysis builds its `Config` through
+//! `AnalyzeRequest::to_config`, as `serve` does.
 //!
 //! Exit codes: 0 = safe, 1 = attack found, 2 = unknown (including budget
 //! exhaustion or an internal crash), 3 = usage, I/O, or compile error.
 //! `client` maps server responses onto the same codes.
 
-use blazer::core::{concretize_outcome, Blazer, Config, DomainKind, Verdict};
+use blazer::core::{concretize_outcome, Blazer, Config, DomainKind, FaultSpec, Verdict};
 use blazer::ir::json::Json;
 use blazer::route::{RouteOptions, Router};
 use blazer::serve::{api::AnalyzeRequest, bench, client, report, ServeOptions, Server};
@@ -47,43 +53,22 @@ struct Options {
 }
 
 fn parse_args(args: Vec<String>) -> Result<Options, String> {
-    let mut config = Config::microbench();
+    let mut req = AnalyzeRequest::new(String::new());
+    let mut threads: Option<usize> = None;
     let mut concretize = false;
     let mut json = false;
     let mut positional = Vec::new();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--observer" => match args.next().as_deref() {
-                Some("stac") => config.observer = blazer::bounds::Observer::stac(),
-                Some("degree") => config.observer = blazer::bounds::Observer::degree(),
-                other => return Err(format!("--observer expects stac|degree, got {other:?}")),
-            },
-            "--domain" => {
-                config.domain = parse_domain(args.next().as_deref())?;
-            }
-            "--cost-model" => {
-                config.cost_model = parse_cost_model(args.next().as_deref())?;
-            }
-            "--timeout" => {
-                config = config.with_timeout(parse_timeout(args.next().as_deref())?);
-            }
-            "--max-lp-calls" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or("--max-lp-calls expects a non-negative integer")?;
-                config = config.with_max_lp_calls(n);
-            }
             "--threads" => {
                 let n = args
                     .next()
                     .and_then(|s| s.parse::<usize>().ok())
                     .filter(|n| *n > 0)
                     .ok_or("--threads expects a positive integer")?;
-                config.threads = Some(n);
+                threads = Some(n);
             }
-            "--no-attack" => config.synthesize_attack = false,
             "--concretize" => concretize = true,
             "--json" => json = true,
             "--help" | "-h" => {
@@ -109,12 +94,58 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                             throughput over hit/miss mixes"
                     .to_string())
             }
-            other => positional.push(other.to_string()),
+            other => {
+                if !apply_analysis_flag(&mut req, other, &mut args)? {
+                    positional.push(a);
+                }
+            }
         }
     }
     let mut positional = positional.into_iter();
     let file = positional.next().ok_or("missing input file (try --help)")?;
+    // The edge of the program: the environment is resolved into the
+    // Config here, and nowhere below.
+    let threads = threads
+        .or_else(|| std::env::var("BLAZER_THREADS").ok()?.trim().parse().ok().filter(|n| *n > 0))
+        .unwrap_or_else(|| Config::default().effective_threads());
+    let mut config = req.to_config(None, threads);
+    if let Some(spec) = std::env::var("BLAZER_FAULT").ok().filter(|s| !s.trim().is_empty()) {
+        config.budget = config.budget.with_fault(FaultSpec::parse(&spec));
+    }
     Ok(Options { file, function: positional.next(), config, concretize, json })
+}
+
+/// Applies one analysis flag, taking its value from `rest`, to `req`: the
+/// one parser behind both the direct analysis and `client`. Returns
+/// `Ok(false)` for a positional argument; any other `--` argument is an
+/// unknown flag.
+fn apply_analysis_flag(
+    req: &mut AnalyzeRequest,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Result<bool, String> {
+    match arg {
+        "--observer" => match rest.next().as_deref() {
+            Some(o @ ("stac" | "degree")) => req.observer = o.to_string(),
+            other => return Err(format!("--observer expects stac|degree, got {other:?}")),
+        },
+        "--domain" => req.domain = parse_domain(rest.next().as_deref())?,
+        "--cost-model" => req.cost_model = parse_cost_model(rest.next().as_deref())?,
+        "--timeout" => {
+            req.timeout_s = Some(parse_timeout(rest.next().as_deref())?.as_secs_f64());
+        }
+        "--max-lp-calls" => {
+            let n = rest
+                .next()
+                .and_then(|s| s.parse::<u64>().ok())
+                .ok_or("--max-lp-calls expects a non-negative integer")?;
+            req.max_lp_calls = Some(n);
+        }
+        "--no-attack" => req.no_attack = true,
+        flag if flag.starts_with("--") => return Err(format!("unknown flag {flag} (try --help)")),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_domain(arg: Option<&str>) -> Result<DomainKind, String> {
@@ -583,31 +614,11 @@ fn client_main(args: Vec<String>) -> ExitCode {
                 json = true;
                 Ok(())
             }
-            "--domain" => parse_domain(args.next().as_deref()).map(|d| req.domain = d),
-            "--cost-model" => parse_cost_model(args.next().as_deref()).map(|m| req.cost_model = m),
-            "--observer" => match args.next().as_deref() {
-                Some(o @ ("stac" | "degree")) => {
-                    req.observer = o.to_string();
-                    Ok(())
+            other => apply_analysis_flag(&mut req, other, &mut args).map(|flag| {
+                if !flag {
+                    positional.push(other.to_string());
                 }
-                other => Err(format!("--observer expects stac|degree, got {other:?}")),
-            },
-            "--timeout" => {
-                parse_timeout(args.next().as_deref()).map(|d| req.timeout_s = Some(d.as_secs_f64()))
-            }
-            "--max-lp-calls" => args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .map(|n| req.max_lp_calls = Some(n))
-                .ok_or("--max-lp-calls expects a non-negative integer".into()),
-            "--no-attack" => {
-                req.no_attack = true;
-                Ok(())
-            }
-            other => {
-                positional.push(other.to_string());
-                Ok(())
-            }
+            }),
         };
         if let Err(msg) = parsed {
             eprintln!("{msg}");

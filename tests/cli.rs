@@ -77,6 +77,57 @@ fn cli_help_and_bad_flags_exit_3() {
 }
 
 #[test]
+fn cli_unknown_flags_exit_3() {
+    // A removed or misspelt flag is a usage error, not a file name.
+    let f = write_temp(
+        "blazer_cli_unknown_flag.blz",
+        "fn check(high: int #high) { if (high == 0) { tick(100); } else { tick(1); } }",
+    );
+    let out = blazer_cmd().args(["--backend", "portfolio"]).arg(&f).arg("check").output().unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --backend (try --help)"), "{stderr}");
+}
+
+#[test]
+fn cli_client_rejects_unknown_flags_before_connecting() {
+    let f = write_temp(
+        "blazer_cli_client_unknown_flag.blz",
+        "fn check(high: int #high) { if (high == 0) { tick(100); } else { tick(1); } }",
+    );
+    // Nothing listens on the discard port: a connection attempt would
+    // fail with a different message.
+    let out = blazer_cmd()
+        .args(["client", "--addr", "127.0.0.1:9", "--backend", "portfolio"])
+        .arg(&f)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --backend (try --help)"), "{stderr}");
+    assert!(!stderr.contains("127.0.0.1:9"), "the client tried to connect: {stderr}");
+}
+
+#[test]
+fn cli_env_fault_deadline_is_a_wall_clock_unknown() {
+    // The CLI resolves BLAZER_FAULT into the analysis budget: a dead
+    // deadline answers Unknown for the wall clock.
+    let f = write_temp(
+        "blazer_cli_fault_deadline.blz",
+        "fn check(high: int #high, low: int) {
+            if (high == 0) { tick(1); } else {
+                let i: int = 0;
+                while (i < low) { i = i + 1; }
+            }
+        }",
+    );
+    let out = blazer_cmd().env("BLAZER_FAULT", "deadline:0").arg(&f).arg("check").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("budget exhausted") && stdout.contains("wall-clock"), "{stdout}");
+}
+
+#[test]
 fn cli_unknown_verdict_exits_2() {
     // Attack synthesis disabled on a leaky program: unknown, exit 2.
     let f = write_temp(

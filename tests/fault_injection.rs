@@ -5,17 +5,7 @@
 //! the driver.
 
 use blazer::core::{Blazer, Budget, Config, FaultSpec, Resource, UnknownReason, Verdict};
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// `Budget::install` reads `BLAZER_FAULT`, and one test below sets it:
-/// serialize every test in this binary so the env mutation cannot leak
-/// into a concurrently installing budget.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A program with genuine secret influence (no fast-path exit) whose
 /// undisturbed verdict is an attack.
@@ -45,7 +35,6 @@ fn analyze_with(budget: Budget) -> blazer::core::AnalysisOutcome {
 
 #[test]
 fn overflow_fault_is_absorbed_as_precision_loss() {
-    let _env = env_guard();
     let fault = FaultSpec { overflow: Some(0), ..FaultSpec::default() };
     let out = analyze_with(Budget::unlimited().with_fault(fault));
     assert!(
@@ -60,7 +49,6 @@ fn overflow_fault_is_absorbed_as_precision_loss() {
 
 #[test]
 fn lp_call_fault_degrades_down_the_domain_ladder() {
-    let _env = env_guard();
     let fault = FaultSpec { lp_call: Some(0), ..FaultSpec::default() };
     let out = analyze_with(Budget::unlimited().with_fault(fault));
     // Every LP call is denied, so the first trail exhausts the budget and
@@ -75,7 +63,6 @@ fn lp_call_fault_degrades_down_the_domain_ladder() {
 
 #[test]
 fn dead_deadline_yields_budget_unknown() {
-    let _env = env_guard();
     let fault = FaultSpec { deadline: Some(Duration::ZERO), ..FaultSpec::default() };
     let out = analyze_with(Budget::unlimited().with_fault(fault));
     assert!(
@@ -91,7 +78,6 @@ fn dead_deadline_yields_budget_unknown() {
 
 #[test]
 fn fixpoint_pass_cap_widens_to_top_instead_of_diverging() {
-    let _env = env_guard();
     let out = analyze_with(Budget::unlimited().with_max_fixpoint_passes(1));
     assert!(out.budget_report.fixpoint_passes >= 1);
     assert!(!out.verdict.is_safe(), "unsound verdict: {}", out.verdict);
@@ -104,7 +90,6 @@ fn fixpoint_pass_cap_widens_to_top_instead_of_diverging() {
 
 #[test]
 fn refinement_step_cap_stops_the_driver() {
-    let _env = env_guard();
     let out = analyze_with(Budget::unlimited().with_max_refinement_steps(1));
     assert!(
         matches!(
@@ -118,7 +103,6 @@ fn refinement_step_cap_stops_the_driver() {
 
 #[test]
 fn automata_phase_cooperates_with_an_exhausted_budget() {
-    let _env = env_guard();
     use blazer::automata::{antichain, kleene, ops, Dfa, Nfa, Regex};
     // Every automata-phase entry point the driver exercises — subset
     // construction, eager products, state elimination, and the antichain
@@ -138,7 +122,6 @@ fn automata_phase_cooperates_with_an_exhausted_budget() {
 
 #[test]
 fn dead_deadline_is_sound_in_both_automata_engine_modes() {
-    let _env = env_guard();
     // End to end: with the whole analysis under a dead deadline, the
     // antichain engine (the only automata engine left) absorbs the
     // exhaustion — a budget-Unknown verdict, never a panic and never Safe
@@ -165,7 +148,6 @@ fn dead_deadline_is_sound_in_both_automata_engine_modes() {
 
 #[test]
 fn unlimited_budget_is_the_undisturbed_attack_verdict() {
-    let _env = env_guard();
     // Control: the same program without faults still finds its attack, and
     // reports no degradations.
     let out = analyze_with(Budget::unlimited());
@@ -176,27 +158,7 @@ fn unlimited_budget_is_the_undisturbed_attack_verdict() {
 }
 
 #[test]
-fn env_fault_spec_is_honored_at_install_time() {
-    let _env = env_guard();
-    // BLAZER_FAULT merges into the installed budget. Use a deadline fault:
-    // deterministic and cheap. Env vars are process-global, so scope it
-    // tightly and restore.
-    std::env::set_var("BLAZER_FAULT", "deadline:0");
-    let out = analyze_with(Budget::unlimited());
-    std::env::remove_var("BLAZER_FAULT");
-    assert!(
-        matches!(
-            out.verdict,
-            Verdict::Unknown(UnknownReason::BudgetExhausted(Resource::WallClock))
-        ),
-        "verdict: {}",
-        out.verdict
-    );
-}
-
-#[test]
 fn tiny_budget_fuzz_never_panics_and_stays_sound() {
-    let _env = env_guard();
     // Sweep starvation levels across both verdict polarities. Every
     // analysis must answer (no panic, no error), and no starvation level
     // may flip a verdict to the unsound side: leaky never Safe, balanced

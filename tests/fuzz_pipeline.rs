@@ -13,6 +13,21 @@ use blazer::ir::cost::CostModel;
 use blazer::ir::Cfg;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// `tiny_budget_always_yields_a_verdict` times every case against its
+/// deadline, so it runs each case alone (the write side); the untimed
+/// properties hold the read side, so they never compete with a timed case
+/// for this binary's cores.
+static TIMING: RwLock<()> = RwLock::new(());
+
+fn untimed() -> RwLockReadGuard<'static, ()> {
+    TIMING.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn timed() -> RwLockWriteGuard<'static, ()> {
+    TIMING.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A deterministic mini-RNG for program synthesis.
 struct Gen(u64);
@@ -89,6 +104,7 @@ proptest! {
     /// The measured cost of every run lies within the computed bounds.
     #[test]
     fn bounds_contain_measured_costs(seed in 0u64..5000, h in -6i64..12, l in -3i64..10) {
+        let _untimed = untimed();
         let src = gen_program(seed);
         let program = blazer::lang::compile(&src)
             .unwrap_or_else(|e| panic!("generated program must compile: {e}\n{src}"));
@@ -142,6 +158,7 @@ proptest! {
     fn tiny_budget_always_yields_a_verdict(seed in 0u64..5000, cap in 0u64..24) {
         use blazer::core::{Blazer, Budget, Config, UnknownReason, Verdict};
         use std::time::Duration;
+        let _timed = timed();
         let src = gen_program(seed);
         let program = blazer::lang::compile(&src).unwrap();
         let deadline = Duration::from_millis(200);
@@ -177,6 +194,7 @@ proptest! {
     #[test]
     fn analysis_never_panics_and_safe_is_plausible(seed in 0u64..500) {
         use blazer::core::{Blazer, Config};
+        let _untimed = untimed();
         let src = gen_program(seed);
         let program = blazer::lang::compile(&src).unwrap();
         let mut config = Config::microbench();

@@ -126,4 +126,7 @@ fn width_resolution_prefers_explicit_config() {
     assert_eq!(Config::microbench().with_threads(3).effective_threads(), 3);
     // `with_threads` clamps to at least one worker.
     assert_eq!(Config::microbench().with_threads(1).effective_threads(), 1);
+    // Unset, the width is the machine's: the library reads no environment.
+    let machine = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    assert_eq!(Config::microbench().effective_threads(), machine);
 }
