@@ -1,8 +1,8 @@
 //! Regenerates Table 1: per-benchmark size, verdict, median safety time,
 //! and median safety+attack time.
 //!
-//! Benchmarks run concurrently on the same worker-pool machinery the
-//! analysis service uses (`blazer_serve::pool::scoped_map`); each analysis
+//! Benchmarks run concurrently on the ordered fan-out the driver and the
+//! analysis service use (`blazer_ir::fanout::scoped_map`); each analysis
 //! installs its own budget, so runs are isolated and verdicts are identical
 //! to a sequential run. Rows print in table order regardless of completion
 //! order. The fan-out width comes from `BLAZER_BENCH_JOBS` (default:
@@ -26,6 +26,7 @@
 
 use blazer_bench::{config_for, try_run_benchmark, Row};
 use blazer_core::{AntichainStats, SeedStats, Verdict};
+use blazer_ir::fanout;
 use blazer_ir::json::Json;
 use blazer_serve::pool;
 use std::time::Instant;
@@ -131,7 +132,7 @@ fn main() {
         })
         .collect();
     let jobs =
-        pool::clamped_width(pool::effective_width(None, "BLAZER_BENCH_JOBS"), selected.len());
+        fanout::clamped_width(pool::effective_width(None, "BLAZER_BENCH_JOBS"), selected.len());
     println!(
         "{:<22} {:>5} {:>12} {:>12}   {:<8} matches paper?  \
          ({jobs} job(s) x {threads} thread(s))",
@@ -139,7 +140,7 @@ fn main() {
     );
     let started = Instant::now();
     let results: Vec<Result<Row, String>> =
-        pool::scoped_map(&selected, jobs, |_, b| try_run_benchmark(b, runs));
+        fanout::scoped_map(&selected, jobs, |_, b| try_run_benchmark(b, runs));
     let mut all_match = true;
     let mut crashes = 0usize;
     let mut group = None;

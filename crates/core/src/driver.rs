@@ -13,13 +13,12 @@ use blazer_automata::{AntichainStats, Dfa, Regex};
 use blazer_bounds::{graph_bounds_seeded, BoundResult, Observer, SeededBounds};
 use blazer_domains::{AbstractDomain, IntervalVec, Octagon, Polyhedron, Zone};
 use blazer_interp::Value;
-use blazer_ir::budget::{self, Budget, BudgetReport, Resource};
+use blazer_ir::budget::{self, Budget, BudgetHandle, BudgetReport, Resource};
 use blazer_ir::cost::CostModel;
+use blazer_ir::fanout;
 use blazer_ir::{CallCost, Cfg, Function, Inst, NodeId, Program, Terminator};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -318,7 +317,8 @@ impl fmt::Display for DegradeReason {
 
 /// What incremental fixpoint seeding did during one analysis: how many
 /// evaluated trails started from a parent's post-states vs. from ⊥, and
-/// the top-level fixpoint passes each kind took.
+/// the top-level fixpoint passes each kind took (read off the budget
+/// ledger, where [`budget::note_trail`] counts every trail evaluation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedStats {
     /// Trails whose top-level fixpoint started from a parent seed.
@@ -331,18 +331,6 @@ pub struct SeedStats {
     pub seeded_passes: u64,
     /// Fixpoint passes of from-⊥ top-level runs.
     pub unseeded_passes: u64,
-}
-
-impl SeedStats {
-    fn absorb_eval(&mut self, out: &EvalOut) {
-        if out.seeded {
-            self.trails_seeded += 1;
-            self.seeded_passes += out.top_passes;
-        } else {
-            self.trails_unseeded += 1;
-            self.unseeded_passes += out.top_passes;
-        }
-    }
 }
 
 /// The complete result of analyzing one function.
@@ -365,8 +353,8 @@ pub struct AnalysisOutcome {
     pub degradations: Vec<Degradation>,
     /// What the analysis consumed against its [`Budget`].
     pub budget_report: BudgetReport,
-    /// What incremental fixpoint seeding did (all zeros on the fast path
-    /// and when seeding is disabled).
+    /// What incremental fixpoint seeding did (all zeros on the fast path;
+    /// every trail counts as unseeded when seeding is disabled).
     pub seed_stats: SeedStats,
     /// What the antichain automata engine did: macro-states explored and
     /// ⊆-dominated macro-states pruned (read off the budget ledger).
@@ -473,10 +461,6 @@ struct EvalOut {
     /// Post-states to retain for seeding this trail's children (absent on
     /// degraded ladders, overflow, budget exhaustion, or disabled seeding).
     post: Option<SeedMap>,
-    /// Whether the fixpoint actually started from a parent seed.
-    seeded: bool,
-    /// Top-level fixpoint passes of the rung that produced `result`.
-    top_passes: u64,
 }
 
 /// One evaluation job: the tree node plus the parent post-states to seed
@@ -536,12 +520,11 @@ impl Blazer {
     ) -> AnalysisOutcome {
         let start = Instant::now();
         let mut degradations: Vec<Degradation> = Vec::new();
-        let mut seed_stats = SeedStats::default();
 
         let cfg = Cfg::new(f);
         let alphabet = EdgeAlphabet::new(&cfg);
         let taint = blazer_taint::analyze_function(program, f);
-        let finish = |verdict, tree, safety_time, attack_time, degradations, seed_stats| {
+        let finish = |verdict, tree, safety_time, attack_time, degradations| {
             let budget_report = budget::report();
             AnalysisOutcome {
                 function: f.name().to_string(),
@@ -555,8 +538,13 @@ impl Blazer {
                     macro_states_explored: budget_report.macro_states_explored,
                     antichain_prunes: budget_report.antichain_prunes,
                 },
+                seed_stats: SeedStats {
+                    trails_seeded: budget_report.trails_seeded,
+                    trails_unseeded: budget_report.trails_unseeded,
+                    seeded_passes: budget_report.seeded_passes,
+                    unseeded_passes: budget_report.unseeded_passes,
+                },
                 budget_report,
-                seed_stats,
                 cost_model: self.config.cost_model.clone(),
                 leakage: Leakage::none(),
             }
@@ -567,7 +555,7 @@ impl Blazer {
         if !has_secret_influence(f, &taint) {
             let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
             tree.node_mut(0).status = NodeStatus::Narrow;
-            return finish(Verdict::Safe, tree, start.elapsed(), None, degradations, seed_stats);
+            return finish(Verdict::Safe, tree, start.elapsed(), None, degradations);
         }
 
         let branches = branch_syms(f, &alphabet, &taint);
@@ -595,15 +583,9 @@ impl Blazer {
                 .copied()
                 .filter(|&l| tree.node(l).status == NodeStatus::Pending)
                 .collect();
-            for (leaf, b) in self.eval_pending(
-                &ctx,
-                &tree,
-                &pending,
-                &mut cache,
-                &mut degradations,
-                &mut seed_stats,
-                width,
-            ) {
+            for (leaf, b) in
+                self.eval_pending(&ctx, &tree, &pending, &mut cache, &mut degradations, width)
+            {
                 tree.node_mut(leaf).status = judge(&b, &self.config.observer, high_seeds);
                 tree.node_mut(leaf).bounds = Some(b);
             }
@@ -657,7 +639,7 @@ impl Blazer {
         };
         let safety_time = start.elapsed();
         if safe {
-            return finish(Verdict::Safe, tree, safety_time, None, degradations, seed_stats);
+            return finish(Verdict::Safe, tree, safety_time, None, degradations);
         }
         if let Some(resource) = budget_stop {
             // A Wide leaf under an exhausted budget proves nothing: the
@@ -669,7 +651,6 @@ impl Blazer {
                 safety_time,
                 None,
                 degradations,
-                seed_stats,
             );
         }
         if !self.config.synthesize_attack {
@@ -679,7 +660,6 @@ impl Blazer {
                 safety_time,
                 None,
                 degradations,
-                seed_stats,
             );
         }
 
@@ -746,15 +726,9 @@ impl Blazer {
             // Evaluation phase: all of the round's new children as one
             // (cached, parallel) batch.
             let new_nodes: Vec<usize> = round_splits.iter().flatten().copied().collect();
-            for (id, b) in self.eval_pending(
-                &ctx,
-                &tree,
-                &new_nodes,
-                &mut cache,
-                &mut degradations,
-                &mut seed_stats,
-                width,
-            ) {
+            for (id, b) in
+                self.eval_pending(&ctx, &tree, &new_nodes, &mut cache, &mut degradations, width)
+            {
                 tree.node_mut(id).status = judge(&b, &self.config.observer, high_seeds);
                 tree.node_mut(id).bounds = Some(b);
             }
@@ -793,7 +767,7 @@ impl Blazer {
                 break;
             }
         }
-        finish(verdict, tree, safety_time, Some(attack_start.elapsed()), degradations, seed_stats)
+        finish(verdict, tree, safety_time, Some(attack_start.elapsed()), degradations)
     }
 
     /// Evaluates a batch of tree nodes (one refinement round's pending
@@ -807,17 +781,16 @@ impl Blazer {
     ///    requesting node), and duplicate trails within the batch collapse
     ///    onto one job, so the set of *evaluated* trails does not depend on
     ///    scheduling.
-    /// 2. **Evaluation** of the remaining jobs: sequential on the calling
-    ///    thread at width 1 (exactly the pre-parallel behavior), otherwise
-    ///    fanned out over `std::thread::scope` workers that pull jobs from a
-    ///    shared index and install this analysis' shared budget handle, so
-    ///    every resource cap and work counter stays one global ledger.
+    /// 2. **Evaluation** of the remaining jobs over
+    ///    [`blazer_ir::fanout::scoped_map`]: sequential on the calling
+    ///    thread at width 1, otherwise fanned out over scoped workers. Every
+    ///    job installs this analysis' shared budget handle, so every
+    ///    resource cap and work counter stays one global ledger.
     /// 3. **Merge** in `nodes` order: degradations, cache insertions, and
     ///    results are committed in leaf order regardless of which worker
     ///    finished first. A worker panic (e.g. an injected fault) is
     ///    re-raised here with its original payload, after all workers have
     ///    finished.
-    #[allow(clippy::too_many_arguments)]
     fn eval_pending(
         &self,
         ctx: &EvalCtx<'_>,
@@ -825,7 +798,6 @@ impl Blazer {
         nodes: &[usize],
         cache: &mut BoundCache,
         degradations: &mut Vec<Degradation>,
-        seed_stats: &mut SeedStats,
         width: usize,
     ) -> Vec<(usize, BoundResult)> {
         enum Source {
@@ -877,15 +849,13 @@ impl Blazer {
             }
         }
 
-        let outs: Vec<EvalOut> = if width <= 1 || jobs.len() <= 1 {
-            jobs.iter()
-                .map(|(node, seed)| {
-                    self.bounds_for(ctx, graphs, &tree.node(*node).trail, *node, seed.as_deref())
-                })
-                .collect()
-        } else {
-            self.eval_jobs_parallel(ctx, tree, &jobs, graphs, width)
-        };
+        let handle = budget::handle();
+        let outs: Vec<EvalOut> = fanout::scoped_map(&jobs, width, |_, (node, seed)| {
+            // All caps, fault injection and work counters stay global: the
+            // job consumes against the ledger the driver thread installed.
+            let _budget = handle.as_ref().map(BudgetHandle::install);
+            self.bounds_for(ctx, graphs, &tree.node(*node).trail, *node, seed.as_deref())
+        });
 
         let mut merged = Vec::with_capacity(nodes.len());
         for (node, source) in plan {
@@ -904,7 +874,6 @@ impl Blazer {
                 Source::Job(j) => {
                     let out = &outs[j];
                     degradations.extend(out.degradations.iter().cloned());
-                    seed_stats.absorb_eval(out);
                     cached_bounds.insert(
                         job_keys[j].clone(),
                         CachedBounds {
@@ -930,74 +899,6 @@ impl Blazer {
         merged
     }
 
-    /// Fans `jobs` (tree-node index plus optional parent seed) out over a
-    /// scoped worker pool of the given width. Results come back indexed by
-    /// job, so callers can merge deterministically; the first panicking
-    /// job's payload (in job order) is re-raised after every worker has
-    /// stopped.
-    fn eval_jobs_parallel(
-        &self,
-        ctx: &EvalCtx<'_>,
-        tree: &TrailTree,
-        jobs: &[EvalJob],
-        graphs: &Mutex<HashMap<String, Arc<ProductGraph>>>,
-        width: usize,
-    ) -> Vec<EvalOut> {
-        type JobSlot = Mutex<Option<std::thread::Result<EvalOut>>>;
-        let slots: Vec<JobSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let handle = budget::handle();
-        std::thread::scope(|scope| {
-            for _ in 0..width.min(jobs.len()) {
-                scope.spawn(|| {
-                    // All caps, fault injection and work counters stay
-                    // global: the worker consumes against the same shared
-                    // ledger the driver thread installed.
-                    let _budget = handle.as_ref().map(|h| h.install());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let (node, seed) = &jobs[i];
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.bounds_for(
-                                ctx,
-                                graphs,
-                                &tree.node(*node).trail,
-                                *node,
-                                seed.as_deref(),
-                            )
-                        }));
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                    }
-                });
-            }
-        });
-        let mut outs = Vec::with_capacity(jobs.len());
-        let mut first_panic = None;
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(Ok(out)) => outs.push(out),
-                Some(Err(payload)) => {
-                    first_panic.get_or_insert(payload);
-                    outs.push(EvalOut {
-                        result: BoundResult { lower: None, upper: None },
-                        degradations: Vec::new(),
-                        post: None,
-                        seeded: false,
-                        top_passes: 0,
-                    });
-                }
-                None => unreachable!("every job index is claimed by some worker"),
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        outs
-    }
-
     /// BOUNDANALYSIS for one trail: restrict the product to the trail's
     /// minimized DFA and compute symbolic bounds in the configured domain.
     ///
@@ -1005,7 +906,9 @@ impl Blazer {
     /// budget and a rescue grant is available, the trail is retried down the
     /// degradation ladder (polyhedra → octagon → zone → interval); each
     /// fallback is recorded in the returned [`EvalOut`]. A dead wall-clock
-    /// deadline is never retried.
+    /// deadline is never retried. The evaluation is counted on the budget
+    /// ledger ([`budget::note_trail`]) as seeded or from ⊥, with the
+    /// first rung's top-level fixpoint passes.
     ///
     /// The optional `seed` (the parent trail's converged post-states) is
     /// applied only on the ladder's first rung — coarser retries restart
@@ -1043,6 +946,7 @@ impl Blazer {
                              ({:?}); widening bounds to [0, ∞)",
                             e.resource
                         ));
+                        budget::note_trail(false, 0);
                         return EvalOut {
                             result: BoundResult {
                                 lower: Some(blazer_bounds::CostExpr::zero()),
@@ -1050,8 +954,6 @@ impl Blazer {
                             },
                             degradations: Vec::new(),
                             post: None,
-                            seeded: false,
-                            top_passes: 0,
                         };
                     }
                 };
@@ -1180,7 +1082,8 @@ impl Blazer {
         if outer_overflow {
             blazer_domains::rational::set_overflow();
         }
-        EvalOut { result, degradations, post, seeded, top_passes }
+        budget::note_trail(seeded, top_passes);
+        EvalOut { result, degradations, post }
     }
 }
 

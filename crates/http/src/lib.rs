@@ -1,6 +1,6 @@
-//! A deliberately small HTTP/1.1 subset over `std::net` streams, shared
-//! by the analysis service (`blazer-serve`) and the fleet router
-//! (`blazer-route`).
+//! A deliberately small HTTP/1.1 subset over `std::net` streams, and the
+//! one serving loop built on it, shared by the analysis service
+//! (`blazer-serve`) and the fleet router (`blazer-route`).
 //!
 //! Bodies are delimited by `Content-Length` only (no chunked transfer,
 //! no TLS), and connections are **persistent by default**: an HTTP/1.1
@@ -16,15 +16,29 @@
 //! connection (see [`read_request`]): pipelined bytes that arrive
 //! buffered past a request boundary stay in the reader and become the
 //! next request instead of being dropped with a transient `BufReader`.
+//!
+//! [`Server`] is how a connection is accepted, queued, served and
+//! drained, for any [`Service`] (a route table plus its counters): an
+//! accept loop feeds a bounded queue, a full queue is answered `503` at
+//! once instead of piling up work, and a fixed pool of workers each serve
+//! one keep-alive connection at a time. Every error response carries the
+//! same [`error_body`].
+//!
 //! The client side of the same wire format lives here too
-//! ([`format_request`], [`read_response`]), so the service's client, the
-//! router's backend connections, and the tests all frame requests and
-//! responses identically.
+//! ([`format_request`], [`read_response`], [`connect`], [`one_shot`]), so
+//! the service's client, the router's backend connections and health
+//! probes, and the tests all frame requests and responses identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{BufRead, Read, Write};
+use blazer_ir::json::Json;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Per-connection socket read/write timeout: a stalled or malicious peer
@@ -252,6 +266,240 @@ pub fn write_json_response<W: Write>(writer: &mut W, status: u16, body: &str, cl
     let _ = writer.flush();
 }
 
+// ------------------------------------------------------------ server side
+
+/// The `{"ok": false, "error": ...}` body of every error response.
+pub fn error_body(error: impl Into<String>) -> Json {
+    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(error.into()))])
+}
+
+/// The counters [`Server`] keeps for its service (monotonic except the two
+/// gauges, [`ServingStats::queue_len`] and [`ServingStats::workers_busy`]).
+#[derive(Debug, Default)]
+pub struct ServingStats {
+    /// TCP connections handled by a worker (each may carry many requests).
+    pub connections: AtomicU64,
+    /// HTTP requests served, across all connections and routes.
+    pub requests: AtomicU64,
+    /// Requests answered with a `4xx` status.
+    pub client_errors: AtomicU64,
+    /// Connections rejected `503` by the full job queue.
+    pub busy_rejections: AtomicU64,
+    /// Gauge: connections accepted but not yet picked up by a worker.
+    /// Saturation shows here (and in [`ServingStats::workers_busy`])
+    /// before the queue fills and 503s start.
+    pub queue_len: AtomicU64,
+    /// Gauge: workers currently serving a connection.
+    pub workers_busy: AtomicU64,
+}
+
+/// What a [`Server`] serves: a route table and the counters the loop
+/// keeps. The server is generic over its service, so answering a request
+/// costs no dynamic dispatch.
+pub trait Service: Send + Sync + 'static {
+    /// The error message of the `503` that a full job queue answers.
+    const BUSY: &'static str;
+
+    /// The counters the serving loop maintains.
+    fn serving_stats(&self) -> &ServingStats;
+
+    /// Answers one well-framed request with `(status, body, close)`; a
+    /// `true` close ends the connection after this response even when the
+    /// peer would keep it alive.
+    fn respond(&self, request: &Request) -> (u16, String, bool);
+}
+
+/// How a [`Server`] sizes its pool and bounds each connection.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// Worker threads, each serving one connection at a time.
+    pub workers: usize,
+    /// Bounded job-queue depth; a full queue answers `503`.
+    pub queue_depth: usize,
+    /// Maximum accepted request-body size in bytes.
+    pub max_body_bytes: usize,
+    /// Requests served on one keep-alive connection before the server
+    /// closes it (announced in the last response's `Connection: close`).
+    pub max_requests_per_connection: u64,
+}
+
+/// A server's stop signal, shared with its service: the flag the accept
+/// loop checks, and the bound address that wakes the loop out of its
+/// blocking accept.
+#[derive(Debug, Clone)]
+pub struct Shutdown {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl Shutdown {
+    /// Whether shutdown has begun (the server is draining).
+    pub fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Begins an orderly shutdown: sets the flag and wakes the accept
+    /// loop, which exits and drops the queue sender; the workers then
+    /// serve what is queued and stop.
+    pub fn trigger(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// A running server: one accept loop feeding a bounded queue that a fixed
+/// pool of workers drains. Dropping the handle leaves the threads running;
+/// call [`Server::stop`] for an orderly shutdown or [`Server::wait`] to
+/// serve until the service triggers its [`Shutdown`].
+pub struct Server<S> {
+    service: Arc<S>,
+    shutdown: Shutdown,
+    /// The workers and the accept loop.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<S: Service> Server<S> {
+    /// Binds `addr` (port `0` picks an ephemeral port), builds the service
+    /// around the server's stop signal, spawns the worker pool and the
+    /// accept loop, and returns immediately.
+    pub fn start(
+        addr: &str,
+        limits: Limits,
+        service: impl FnOnce(Shutdown) -> S,
+    ) -> std::io::Result<Server<S>> {
+        let listener = TcpListener::bind(addr)?;
+        let shutdown =
+            Shutdown { flag: Arc::new(AtomicBool::new(false)), addr: listener.local_addr()? };
+        let service = Arc::new(service(shutdown.clone()));
+        let limits = Limits {
+            max_requests_per_connection: limits.max_requests_per_connection.max(1),
+            ..limits
+        };
+        let (tx, rx) = sync_channel::<TcpStream>(limits.queue_depth.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        let mut threads: Vec<JoinHandle<()>> = (0..limits.workers.max(1))
+            .map(|_| {
+                let (rx, service) = (Arc::clone(&rx), Arc::clone(&service));
+                std::thread::spawn(move || worker_loop(&rx, &*service, limits))
+            })
+            .collect();
+        threads.push({
+            let (service, shutdown) = (Arc::clone(&service), shutdown.clone());
+            std::thread::spawn(move || accept_loop(&listener, &tx, &shutdown, &*service))
+        });
+        Ok(Server { service, shutdown, threads })
+    }
+
+    /// The bound socket address (resolves ephemeral ports).
+    pub fn addr(&self) -> SocketAddr {
+        self.shutdown.addr
+    }
+
+    /// The service behind the loop (shared with every worker thread).
+    pub fn service(&self) -> &Arc<S> {
+        &self.service
+    }
+
+    /// Blocks until shutdown has begun and every queued connection has
+    /// been served, then joins every thread.
+    pub fn wait(&mut self) {
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+
+    /// Orderly shutdown: stop accepting, drain the queue, join every
+    /// thread.
+    pub fn stop(&mut self) {
+        self.shutdown.trigger();
+        self.wait();
+    }
+}
+
+fn accept_loop<S: Service>(
+    listener: &TcpListener,
+    tx: &SyncSender<TcpStream>,
+    shutdown: &Shutdown,
+    service: &S,
+) {
+    let stats = service.serving_stats();
+    for stream in listener.incoming() {
+        if shutdown.is_set() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // Responses are small; Nagle + the peer's delayed ACK would add
+        // ~40ms per exchange.
+        let _ = stream.set_nodelay(true);
+        // The gauge goes up *before* the send so a worker's decrement
+        // (strictly after a successful send) can never race it below zero.
+        stats.queue_len.fetch_add(1, Ordering::SeqCst);
+        match tx.try_send(stream) {
+            Ok(()) => {}
+            Err(TrySendError::Full(stream)) => {
+                stats.queue_len.fetch_sub(1, Ordering::SeqCst);
+                stats.busy_rejections.fetch_add(1, Ordering::SeqCst);
+                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                write_json_response(&mut &stream, 503, &error_body(S::BUSY).to_string(), true);
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                stats.queue_len.fetch_sub(1, Ordering::SeqCst);
+                break;
+            }
+        }
+    }
+}
+
+fn worker_loop<S: Service>(rx: &Mutex<Receiver<TcpStream>>, service: &S, limits: Limits) {
+    let stats = service.serving_stats();
+    loop {
+        let received = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        // A dropped queue sender means the shutdown drain is done.
+        let Ok(stream) = received else { break };
+        stats.queue_len.fetch_sub(1, Ordering::SeqCst);
+        stats.workers_busy.fetch_add(1, Ordering::SeqCst);
+        handle_connection(&stream, service, limits);
+        stats.workers_busy.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Serves one connection to completion: a keep-alive request loop over a
+/// single persistent `BufReader`, so pipelined bytes buffered past one
+/// request's boundary become the next request instead of being dropped.
+/// The loop ends when either side asks for `Connection: close`, the
+/// request cap is reached, framing fails (the stream position is then
+/// undefined), or the peer hangs up / idles out between requests.
+fn handle_connection<S: Service>(stream: &TcpStream, service: &S, limits: Limits) {
+    let stats = service.serving_stats();
+    stats.connections.fetch_add(1, Ordering::SeqCst);
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let mut reader = BufReader::new(stream);
+    for served in 1..=limits.max_requests_per_connection {
+        let request = match read_request(&mut reader, limits.max_body_bytes) {
+            Ok(r) => r,
+            Err(ReadError::Closed) => return,
+            Err(ReadError::Bad(e)) => {
+                stats.requests.fetch_add(1, Ordering::SeqCst);
+                stats.client_errors.fetch_add(1, Ordering::SeqCst);
+                let body = error_body(e.message).to_string();
+                write_json_response(&mut { stream }, e.status, &body, true);
+                return;
+            }
+        };
+        stats.requests.fetch_add(1, Ordering::SeqCst);
+        let (status, body, close) = service.respond(&request);
+        let close = close || request.close || served == limits.max_requests_per_connection;
+        if (400..500).contains(&status) {
+            stats.client_errors.fetch_add(1, Ordering::SeqCst);
+        }
+        write_json_response(&mut { stream }, status, &body, close);
+        if close {
+            return;
+        }
+    }
+}
+
 // ------------------------------------------------------------ client side
 
 fn bad_data(msg: impl Into<String>) -> std::io::Error {
@@ -317,6 +565,55 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<(u16, String
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body).map_err(|_| bad_data("response body is not UTF-8"))?;
     Ok((status, body, closes))
+}
+
+/// Dials `addr`, with `timeout` bounding the connect (a dead host then
+/// costs one timeout, not the OS's multi-minute default). Nagle is off:
+/// small request/response exchanges would otherwise wait ~40ms per round
+/// trip on the peer's delayed ACK.
+pub fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<TcpStream> {
+    let stream = match timeout {
+        None => TcpStream::connect(addr)?,
+        Some(timeout) => {
+            let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::AddrNotAvailable,
+                    "address resolved to nothing",
+                )
+            })?;
+            TcpStream::connect_timeout(&target, timeout)?
+        }
+    };
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// Sends one `Connection: close` request on a fresh connection and reads
+/// its framed response as `(status, body)`. With a `timeout` every phase
+/// (connect, write, read) is bounded by it; without one the read waits as
+/// long as the server takes, so no client-side deadline races a
+/// long-running analysis. Errors name the phase that failed
+/// (`connect: ...`, `write: ...`, `read: ...`).
+pub fn one_shot(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+    timeout: Option<Duration>,
+) -> std::io::Result<(u16, String)> {
+    fn phase(what: &'static str) -> impl Fn(std::io::Error) -> std::io::Error {
+        move |e| std::io::Error::new(e.kind(), format!("{what}: {e}"))
+    }
+    let mut stream = connect(addr, timeout).map_err(phase("connect"))?;
+    let _ = stream.set_read_timeout(timeout);
+    let _ = stream.set_write_timeout(timeout);
+    stream
+        .write_all(format_request(method, path, addr, body, true).as_bytes())
+        .and_then(|()| stream.flush())
+        .map_err(phase("write"))?;
+    let (status, body, _closes) =
+        read_response(&mut BufReader::new(stream)).map_err(phase("read"))?;
+    Ok((status, body))
 }
 
 #[cfg(test)]
@@ -487,6 +784,20 @@ mod tests {
         assert_eq!((status, body.as_str(), closes), (200, "{\"ok\": true}", false));
         let (status, body, closes) = read_response(&mut reader).unwrap();
         assert_eq!((status, body.as_str(), closes), (503, "{\"ok\": false}", true));
+    }
+
+    #[test]
+    fn one_shot_names_the_failed_phase() {
+        // Bind-then-drop guarantees an unused port.
+        let port = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().port()
+        };
+        let addr = format!("127.0.0.1:{port}");
+        let err =
+            one_shot(&addr, "GET", "/health", "", Some(Duration::from_millis(500))).unwrap_err();
+        assert!(err.to_string().starts_with("connect:"), "{err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //!
 //! Besides the capped resources, the ledger counts work that no cap
 //! governs — the antichain automata engine's macro-states and prunes
-//! ([`note_macro_states`], [`note_antichain_prunes`]) — so one analysis
+//! ([`note_macro_states`], [`note_antichain_prunes`]) and the driver's
+//! seeded and from-⊥ trail evaluations ([`note_trail`]) — so one analysis
 //! keeps one ledger, installed once per thread.
 
 use std::cell::{Cell, RefCell};
@@ -236,6 +237,10 @@ impl Budget {
             overflow_events: AtomicU64::new(0),
             macro_states: AtomicU64::new(0),
             antichain_prunes: AtomicU64::new(0),
+            trails_seeded: AtomicU64::new(0),
+            trails_unseeded: AtomicU64::new(0),
+            seeded_passes: AtomicU64::new(0),
+            unseeded_passes: AtomicU64::new(0),
             exhausted: AtomicU8::new(0),
             degradations: Mutex::new(Vec::new()),
             fault_overflow_after: fault.overflow,
@@ -264,6 +269,15 @@ pub struct BudgetReport {
     /// Macro-states the antichain engine discarded (or killed) by
     /// ⊆-domination.
     pub antichain_prunes: u64,
+    /// Evaluated trails whose top-level fixpoint started from a parent
+    /// seed.
+    pub trails_seeded: u64,
+    /// Evaluated trails whose top-level fixpoint started from ⊥.
+    pub trails_unseeded: u64,
+    /// Top-level fixpoint passes of the seeded trail evaluations.
+    pub seeded_passes: u64,
+    /// Top-level fixpoint passes of the from-⊥ trail evaluations.
+    pub unseeded_passes: u64,
     /// Wall-clock time elapsed since the budget was installed.
     pub elapsed: Duration,
     /// The first resource that ran out, if any.
@@ -289,6 +303,10 @@ struct Shared {
     overflow_events: AtomicU64,
     macro_states: AtomicU64,
     antichain_prunes: AtomicU64,
+    trails_seeded: AtomicU64,
+    trails_unseeded: AtomicU64,
+    seeded_passes: AtomicU64,
+    unseeded_passes: AtomicU64,
     /// 0 = not exhausted, otherwise [`Resource::code`] of the first trip.
     exhausted: AtomicU8,
     degradations: Mutex<Vec<String>>,
@@ -519,6 +537,20 @@ pub fn note_antichain_prunes(n: u64) {
     with_active(|active| active.antichain_prunes.fetch_add(n, Ordering::Relaxed));
 }
 
+/// Counts one evaluated trail: whether its top-level fixpoint started from
+/// a parent seed, and the passes that fixpoint took.
+pub fn note_trail(seeded: bool, top_passes: u64) {
+    with_active(|active| {
+        let (trails, passes) = if seeded {
+            (&active.trails_seeded, &active.seeded_passes)
+        } else {
+            (&active.trails_unseeded, &active.unseeded_passes)
+        };
+        trails.fetch_add(1, Ordering::Relaxed);
+        passes.fetch_add(top_passes, Ordering::Relaxed);
+    });
+}
+
 /// Number of overflow events absorbed so far across all threads sharing the
 /// installed budget.
 pub fn overflow_events() -> u64 {
@@ -588,6 +620,10 @@ pub fn report() -> BudgetReport {
         overflow_events: active.overflow_events.load(Ordering::SeqCst),
         macro_states_explored: active.macro_states.load(Ordering::Relaxed),
         antichain_prunes: active.antichain_prunes.load(Ordering::Relaxed),
+        trails_seeded: active.trails_seeded.load(Ordering::Relaxed),
+        trails_unseeded: active.trails_unseeded.load(Ordering::Relaxed),
+        seeded_passes: active.seeded_passes.load(Ordering::Relaxed),
+        unseeded_passes: active.unseeded_passes.load(Ordering::Relaxed),
         elapsed: active.start.elapsed(),
         exhausted: active.exhausted_resource(),
         degradations: active.degradations.lock().unwrap_or_else(|e| e.into_inner()).clone(),

@@ -50,6 +50,7 @@ pub mod builder;
 pub mod cfg;
 pub mod cost;
 pub mod dominators;
+pub mod fanout;
 pub mod function;
 pub mod inst;
 pub mod json;

@@ -15,9 +15,6 @@
 //! and the request path's own failover covers a backend that was already
 //! dead at router boot.
 
-use blazer_http::{format_request, read_response};
-use std::io::{BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -25,7 +22,7 @@ use std::time::Duration;
 /// Active health-checker configuration.
 #[derive(Debug, Clone)]
 pub struct HealthOptions {
-    /// Pause between probe sweeps over the fleet.
+    /// Pause before each probe sweep over the fleet (the first included).
     pub interval: Duration,
     /// Per-probe connect/read deadline (also the router's backend connect
     /// timeout and its `/stats` fan-out deadline).
@@ -146,33 +143,6 @@ impl FleetHealth {
     }
 }
 
-/// One active probe: `GET /health` over a fresh `Connection: close`
-/// connection, every phase bounded by `timeout`. Anything but a clean
-/// `200` — connect refusal, timeout, a torn response, or the `503` a
-/// draining backend answers — is a failure with a human-readable reason.
-pub fn probe(addr: &str, timeout: Duration) -> Result<(), String> {
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve: {e}"))?
-        .next()
-        .ok_or_else(|| "resolve: no addresses".to_string())?;
-    let mut stream =
-        TcpStream::connect_timeout(&target, timeout).map_err(|e| format!("connect: {e}"))?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    stream
-        .write_all(format_request("GET", "/health", addr, "", true).as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("write: {e}"))?;
-    let (status, _body, _closes) =
-        read_response(&mut BufReader::new(stream)).map_err(|e| format!("read: {e}"))?;
-    if status == 200 {
-        Ok(())
-    } else {
-        Err(format!("health answered {status}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,16 +186,5 @@ mod tests {
         assert!(fleet.record_failure(0, "x"), "threshold 0 behaves as 1");
         assert!(fleet.record_success(0));
         assert_eq!(fleet.up_count(), 1);
-    }
-
-    #[test]
-    fn probe_reports_a_refused_connection() {
-        // Bind-then-drop guarantees an unused port.
-        let port = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap().port()
-        };
-        let err = probe(&format!("127.0.0.1:{port}"), Duration::from_millis(500)).unwrap_err();
-        assert!(err.starts_with("connect:"), "{err}");
     }
 }

@@ -35,10 +35,14 @@
 //!    a stampede costs one backend run even when failover would otherwise
 //!    scatter it.
 //! 5. **Sharded batches.** An array body is split per shard, the
-//!    sub-batches fan out concurrently ([`blazer_serve::pool::scoped_map`]),
+//!    sub-batches fan out concurrently ([`blazer_ir::fanout::scoped_map`]),
 //!    and the answers re-merge in submission order; a shard that fails its
 //!    sub-batch degrades to per-item failover, so one dead backend costs
 //!    a batch nothing but latency.
+//!
+//! Accepting, queueing, serving and draining client connections is the
+//! same [`blazer_http::Server`] loop the backends run; this crate supplies
+//! the route table, the health checker and the forwarding.
 //!
 //! Re-sent requests are safe by construction: a forward is only retried
 //! when no response byte arrived, and analyses are pure functions of
@@ -56,18 +60,18 @@ pub mod ring;
 pub mod sessions;
 
 use blazer_http as http;
+use blazer_ir::fanout;
 use blazer_ir::json::{fnv1a64, Json};
-use blazer_serve::api::AnalyzeRequest;
+use blazer_serve::api::{with_item_status, AnalyzeRequest};
 use blazer_serve::cache::{CacheKey, FlightOutcome, Joined, SingleFlight};
 use blazer_serve::client::Session;
 use blazer_serve::pool;
 use health::{FleetHealth, HealthOptions};
+use http::{error_body, Limits, ServingStats, Shutdown};
 use ring::Ring;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -148,13 +152,12 @@ impl Default for RouteOptions {
     }
 }
 
-/// Live router counters (all monotonic).
+/// Live router counters (all monotonic): the serving loop's own
+/// (connections, requests, `4xx`s, busy `503`s, reached through `Deref` to
+/// [`ServingStats`]) plus the forwarding counters below.
 #[derive(Debug, Default)]
 pub struct RouterStats {
-    /// Client TCP connections handled by a worker.
-    pub connections: AtomicU64,
-    /// HTTP requests served across all routes.
-    pub requests: AtomicU64,
+    serving: ServingStats,
     /// `/analyze` submissions (batch items included).
     pub analyze_requests: AtomicU64,
     /// Batch (array-bodied) `/analyze` requests.
@@ -171,10 +174,14 @@ pub struct RouterStats {
     /// Requests that exhausted every candidate and were answered with the
     /// structured fleet `503`.
     pub fleet_unavailable: AtomicU64,
-    /// Requests answered with a `4xx` status (batch items excluded).
-    pub client_errors: AtomicU64,
-    /// Connections rejected `503` by the full job queue.
-    pub busy_rejections: AtomicU64,
+}
+
+impl std::ops::Deref for RouterStats {
+    type Target = ServingStats;
+
+    fn deref(&self) -> &ServingStats {
+        &self.serving
+    }
 }
 
 struct Ctx {
@@ -196,20 +203,35 @@ struct Ctx {
     started: Instant,
     workers: usize,
     queue_depth: usize,
-    max_body_bytes: usize,
-    max_requests_per_connection: u64,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
+}
+
+impl http::Service for Ctx {
+    const BUSY: &'static str = "router busy: job queue full, retry later";
+
+    fn serving_stats(&self) -> &ServingStats {
+        &self.stats.serving
+    }
+
+    fn respond(&self, request: &http::Request) -> (u16, String, bool) {
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/health") => health_route(self),
+            ("GET", "/stats") => (200, stats_body(self).to_string()),
+            ("POST", "/analyze") => handle_analyze(self, &request.body),
+            (_, "/health" | "/stats" | "/analyze") => {
+                (405, error_body(format!("method {} not allowed here", request.method)).to_string())
+            }
+            (_, path) => (404, error_body(format!("no such route: {path}")).to_string()),
+        };
+        (status, body, false)
+    }
 }
 
 /// A running router. Call [`Router::stop`] for an orderly shutdown or
 /// [`Router::wait`] to serve until the process dies.
 pub struct Router {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    inner: http::Server<Ctx>,
     checker: Option<JoinHandle<()>>,
-    ctx: Arc<Ctx>,
 }
 
 impl Router {
@@ -223,18 +245,21 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&opts.addr)?;
-        let addr = listener.local_addr()?;
-        let width = pool::serving_width(opts.workers, "BLAZER_ROUTE_WORKERS");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ctx = Arc::new(Ctx {
+        let workers = pool::serving_width(opts.workers, "BLAZER_ROUTE_WORKERS");
+        let limits = Limits {
+            workers,
+            queue_depth: opts.queue_depth,
+            max_body_bytes: opts.max_body_bytes,
+            max_requests_per_connection: opts.max_requests_per_connection,
+        };
+        let inner = http::Server::start(&opts.addr, limits, |shutdown| Ctx {
             ring: Ring::new(&opts.backends),
             health: FleetHealth::new(
                 opts.backends.len(),
                 opts.health.eject_after,
                 opts.health.reinstate_after,
             ),
-            sessions: opts.backends.iter().map(|_| sessions::SessionPool::new(width)).collect(),
+            sessions: opts.backends.iter().map(|_| sessions::SessionPool::new(workers)).collect(),
             backends: opts.backends,
             health_opts: opts.health,
             retry: opts.retry,
@@ -242,80 +267,35 @@ impl Router {
             flights: SingleFlight::new(),
             stats: RouterStats::default(),
             started: Instant::now(),
-            workers: width,
+            workers,
             queue_depth: opts.queue_depth,
-            max_body_bytes: opts.max_body_bytes,
-            max_requests_per_connection: opts.max_requests_per_connection.max(1),
-            shutdown: Arc::clone(&shutdown),
-        });
-        let (tx, rx) = sync_channel::<TcpStream>(opts.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..width)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || worker_loop(&rx, &ctx))
-            })
-            .collect();
+            shutdown,
+        })?;
         let checker = {
-            let ctx = Arc::clone(&ctx);
+            let ctx = Arc::clone(inner.service());
             std::thread::spawn(move || checker_loop(&ctx))
         };
-        let accept = {
-            let ctx = Arc::clone(&ctx);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Responses are small; Nagle + the peer's delayed ACK
-                    // would add ~40ms per exchange.
-                    let _ = stream.set_nodelay(true);
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(stream)) => {
-                            ctx.stats.busy_rejections.fetch_add(1, Ordering::SeqCst);
-                            let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
-                            http::write_json_response(
-                                &mut &stream,
-                                503,
-                                &error_body("router busy: job queue full, retry later").to_string(),
-                                true,
-                            );
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-            })
-        };
-        Ok(Router { addr, shutdown, accept: Some(accept), workers, checker: Some(checker), ctx })
+        Ok(Router { inner, checker: Some(checker) })
     }
 
     /// The bound socket address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// The live router counters.
     pub fn stats(&self) -> &RouterStats {
-        &self.ctx.stats
+        &self.inner.service().stats
     }
 
     /// The fleet health state (for in-process inspection).
     pub fn health(&self) -> &FleetHealth {
-        &self.ctx.health
+        &self.inner.service().health
     }
 
     /// Blocks until the router shuts down, then joins every thread.
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.inner.wait();
         if let Some(checker) = self.checker.take() {
             let _ = checker.join();
         }
@@ -323,96 +303,38 @@ impl Router {
 
     /// Orderly shutdown: stop accepting, drain queued connections, join
     /// every thread.
-    pub fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept call; the flag makes it exit, dropping
-        // the queue sender, which in turn drains and stops the workers.
-        let _ = TcpStream::connect(self.addr);
+    pub fn stop(mut self) {
+        self.inner.stop();
         self.wait();
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx) {
-    loop {
-        let received = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        match received {
-            Ok(mut stream) => handle_connection(&mut stream, ctx),
-            Err(_) => break,
-        }
-    }
-}
-
-/// Probes every backend, sleeps the interval, repeats — in small slices so
-/// shutdown is never delayed by a full interval.
+/// Sleeps the interval, probes every backend's `/health` on a fresh
+/// one-shot connection bounded by the health timeout, repeats — sleeping
+/// in small slices so shutdown is never delayed by a full interval. The
+/// first sweep waits an interval too: backends start `up`, and until then
+/// the request path's own failover drives the health state. Anything but
+/// a clean `200` — connect refusal, timeout, a torn response, or the `503`
+/// a draining backend answers — is a failure with a human-readable reason.
 fn checker_loop(ctx: &Ctx) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        for (index, addr) in ctx.backends.iter().enumerate() {
-            if ctx.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match health::probe(addr, ctx.health_opts.timeout) {
-                Ok(()) => {
-                    ctx.health.record_success(index);
-                }
-                Err(error) => {
-                    ctx.health.record_failure(index, &error);
-                }
-            }
-        }
+    loop {
         let mut remaining = ctx.health_opts.interval;
-        while !remaining.is_zero() && !ctx.shutdown.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !ctx.shutdown.is_set() {
             let slice = remaining.min(Duration::from_millis(50));
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
-    }
-}
-
-fn error_body(error: impl Into<String>) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(error.into()))])
-}
-
-/// Serves one client connection: the same persistent-reader keep-alive
-/// loop as the backend itself, with the router's route table.
-fn handle_connection(stream: &mut TcpStream, ctx: &Ctx) {
-    ctx.stats.connections.fetch_add(1, Ordering::SeqCst);
-    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
-    let stream: &TcpStream = stream;
-    let mut reader = BufReader::new(stream);
-    for served in 1..=ctx.max_requests_per_connection {
-        let request = match http::read_request(&mut reader, ctx.max_body_bytes) {
-            Ok(r) => r,
-            Err(http::ReadError::Closed) => return,
-            Err(http::ReadError::Bad(e)) => {
-                ctx.stats.requests.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                http::write_json_response(
-                    &mut { stream },
-                    e.status,
-                    &error_body(e.message).to_string(),
-                    true,
-                );
+        for (index, addr) in ctx.backends.iter().enumerate() {
+            if ctx.shutdown.is_set() {
                 return;
             }
-        };
-        ctx.stats.requests.fetch_add(1, Ordering::SeqCst);
-        let close = request.close || served == ctx.max_requests_per_connection;
-        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/health") => health_route(ctx),
-            ("GET", "/stats") => (200, stats_body(ctx).to_string()),
-            ("POST", "/analyze") => handle_analyze(ctx, &request.body),
-            (_, "/health" | "/stats" | "/analyze") => {
-                (405, error_body(format!("method {} not allowed here", request.method)).to_string())
-            }
-            (_, path) => (404, error_body(format!("no such route: {path}")).to_string()),
-        };
-        if (400..500).contains(&status) {
-            ctx.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-        }
-        http::write_json_response(&mut { stream }, status, &body, close);
-        if close {
-            return;
+            match http::one_shot(addr, "GET", "/health", "", Some(ctx.health_opts.timeout)) {
+                Ok((200, _)) => ctx.health.record_success(index),
+                Ok((status, _)) => {
+                    ctx.health.record_failure(index, &format!("health answered {status}"))
+                }
+                Err(error) => ctx.health.record_failure(index, &error.to_string()),
+            };
         }
     }
 }
@@ -511,9 +433,9 @@ fn handle_batch(ctx: &Ctx, items: &[Json]) -> (u16, String) {
         groups.entry(shard).or_default().push(item);
     }
     let groups: Vec<(usize, Vec<PlannedItem>)> = groups.into_iter().collect();
-    let width = pool::clamped_width(ctx.workers, groups.len());
+    let width = fanout::clamped_width(ctx.workers, groups.len());
     let group_results =
-        pool::scoped_map(&groups, width, |_, (shard, group)| route_group(ctx, *shard, group));
+        fanout::scoped_map(&groups, width, |_, (shard, group)| route_group(ctx, *shard, group));
     let mut slots: Vec<Option<String>> = (0..items.len()).map(|_| None).collect();
     for (position, result) in group_results.into_iter().flatten() {
         slots[position] = Some(result);
@@ -661,7 +583,12 @@ fn forward(ctx: &Ctx, index: usize, body: &str) -> std::io::Result<(u16, String)
     }
     let mut session = match ctx.sessions[index].checkout() {
         Some(session) => session,
-        None => dial(ctx, index)?,
+        // The health timeout bounds the dial: a dead host costs one
+        // timeout, not the OS's multi-minute default.
+        None => {
+            let addr = &ctx.backends[index];
+            Session::from_stream(http::connect(addr, Some(ctx.health_opts.timeout))?, addr)
+        }
     };
     if ctx.fault.take_read() {
         return Err(std::io::Error::new(
@@ -672,18 +599,6 @@ fn forward(ctx: &Ctx, index: usize, body: &str) -> std::io::Result<(u16, String)
     let (status, response) = session.request("POST", "/analyze", Some(body))?;
     ctx.sessions[index].park(session);
     Ok((status, response))
-}
-
-/// Dials backend `index` with the health timeout bounding the connect (a
-/// dead host must cost one timeout, not the OS's multi-minute default).
-fn dial(ctx: &Ctx, index: usize) -> std::io::Result<Session> {
-    let addr = &ctx.backends[index];
-    let target = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "address resolved to nothing")
-    })?;
-    let stream = TcpStream::connect_timeout(&target, ctx.health_opts.timeout)?;
-    let _ = stream.set_nodelay(true);
-    Ok(Session::from_stream(stream, addr))
 }
 
 /// The structured body behind the router's `503`: which key failed, and
@@ -716,20 +631,6 @@ fn fleet_error_body(key_hash: u64, attempts: &[(String, String)]) -> Json {
     ])
 }
 
-/// Prefixes a batch item's body with its per-item HTTP status (the same
-/// shape the backend gives its own batch items; bodies that already carry
-/// one — sub-batch answers — pass through [`try_sub_batch`] untouched).
-fn with_item_status(status: u16, body: &str) -> String {
-    match Json::parse(body) {
-        Ok(Json::Obj(mut pairs)) => {
-            pairs.retain(|(k, _)| k != "status");
-            pairs.insert(0, ("status".to_string(), Json::from(u64::from(status))));
-            Json::Obj(pairs).to_string()
-        }
-        _ => body.to_string(),
-    }
-}
-
 /// `GET /stats`: router counters, per-backend health + forwarded backend
 /// stats (fetched concurrently on one-shot bounded connections, so a dead
 /// backend delays the answer by one timeout, not forever), and fleet-wide
@@ -739,7 +640,7 @@ fn stats_body(ctx: &Ctx) -> Json {
     let snapshots = ctx.health.snapshot();
     let indices: Vec<usize> = (0..ctx.backends.len()).collect();
     let fetched =
-        pool::scoped_map(&indices, indices.len(), |_, &index| fetch_backend_stats(ctx, index));
+        fanout::scoped_map(&indices, indices.len(), |_, &index| fetch_backend_stats(ctx, index));
     let mut fleet = FleetSums::default();
     let backends: Vec<Json> = indices
         .iter()
@@ -857,24 +758,9 @@ impl FleetSums {
 /// timeout at every phase — deliberately *not* the pooled session, which
 /// an analyze forward may be holding for seconds.
 fn fetch_backend_stats(ctx: &Ctx, index: usize) -> Result<Json, String> {
-    use std::io::Write;
-    let addr = &ctx.backends[index];
-    let timeout = ctx.health_opts.timeout;
-    let target = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve: {e}"))?
-        .next()
-        .ok_or_else(|| "resolve: no addresses".to_string())?;
-    let mut stream =
-        TcpStream::connect_timeout(&target, timeout).map_err(|e| format!("connect: {e}"))?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    stream
-        .write_all(http::format_request("GET", "/stats", addr, "", true).as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("write: {e}"))?;
-    let (status, body, _closes) = blazer_serve::client::read_response(&mut BufReader::new(stream))
-        .map_err(|e| format!("read: {e}"))?;
+    let timeout = Some(ctx.health_opts.timeout);
+    let (status, body) = http::one_shot(&ctx.backends[index], "GET", "/stats", "", timeout)
+        .map_err(|e| e.to_string())?;
     if status != 200 {
         return Err(format!("stats answered {status}"));
     }
@@ -937,14 +823,5 @@ mod tests {
         let Some(Json::Arr(attempts)) = fleet.get("attempts") else { panic!("attempts array") };
         assert_eq!(attempts.len(), 2);
         assert_eq!(attempts[1].get("error").and_then(Json::as_str), Some("answered 500"));
-    }
-
-    #[test]
-    fn item_status_is_prefixed_once() {
-        let wrapped = with_item_status(503, r#"{"ok": false, "error": "fleet"}"#);
-        let doc = Json::parse(&wrapped).unwrap();
-        let Json::Obj(pairs) = &doc else { panic!("object") };
-        assert_eq!(pairs[0].0, "status");
-        assert_eq!(doc.get("status").and_then(Json::as_u64), Some(503));
     }
 }

@@ -8,7 +8,7 @@ use blazer_route::fault::FaultPoints;
 use blazer_route::health::HealthOptions;
 use blazer_route::ring::Ring;
 use blazer_route::{RetryPolicy, RouteOptions, Router};
-use blazer_serve::{client, AnalyzeRequest, ServeOptions, Server};
+use blazer_serve::{client, http, AnalyzeRequest, ServeOptions, Server};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -208,11 +208,12 @@ fn an_unreachable_fleet_answers_a_structured_503() {
     opts.health.eject_after = 1;
     let router = Router::start(opts).expect("router starts");
     let addr = router.addr().to_string();
-    let (status, body) = client::raw_request(
+    let (status, body) = http::one_shot(
         &addr,
         "POST",
         "/analyze",
-        Some(&AnalyzeRequest::new(UNSAFE_SRC).to_json().to_string()),
+        &AnalyzeRequest::new(UNSAFE_SRC).to_json().to_string(),
+        None,
     )
     .expect("round-trips");
     assert_eq!(status, 503, "{body}");
@@ -248,8 +249,7 @@ fn batches_split_across_shards_and_remerge_in_submission_order() {
     let attack = AnalyzeRequest::new(UNSAFE_SRC).to_json().to_string();
     let safe = AnalyzeRequest::new(SAFE_SRC).to_json().to_string();
     let body = format!("[{attack}, {{\"frobnicate\": 1}}, {safe}, {attack}]");
-    let (status, response) =
-        client::raw_request(&addr, "POST", "/analyze", Some(&body)).expect("batch");
+    let (status, response) = http::one_shot(&addr, "POST", "/analyze", &body, None).expect("batch");
     assert_eq!(status, 200, "{response}");
     let items = match Json::parse(&response) {
         Ok(Json::Arr(items)) => items,

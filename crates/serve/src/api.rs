@@ -9,6 +9,7 @@
 use crate::cache::CacheKey;
 use crate::report;
 use blazer_core::{Blazer, Config, DomainKind, UnknownReason, Verdict};
+use blazer_http::error_body;
 use blazer_ir::cost::CostModel;
 use blazer_ir::json::Json;
 use std::time::{Duration, Instant};
@@ -219,10 +220,6 @@ pub struct AnalyzeResponse {
     pub cacheable: bool,
 }
 
-fn error_body(error: impl Into<String>) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(error.into()))])
-}
-
 fn crash_response(msg: &str) -> AnalyzeResponse {
     AnalyzeResponse {
         status: 500,
@@ -304,9 +301,39 @@ pub fn execute(
     AnalyzeResponse { status: 200, body: Json::Obj(pairs), cacheable: true }
 }
 
+/// Prefixes a batch item's body with its per-item HTTP status — the shape
+/// of every element of a batch answer, from the service and the router
+/// alike. A body that already carries a status has it replaced, and a body
+/// that is not a JSON object (nothing the server produces, but a
+/// hand-edited cache file can hold anything) is carried verbatim, not
+/// rewrapped into a different shape.
+pub fn with_item_status(status: u16, body: &str) -> String {
+    match Json::parse(body) {
+        Ok(Json::Obj(mut pairs)) => {
+            pairs.retain(|(k, _)| k != "status");
+            pairs.insert(0, ("status".to_string(), Json::from(u64::from(status))));
+            Json::Obj(pairs).to_string()
+        }
+        _ => body.to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn item_status_is_prefixed_and_never_duplicated() {
+        let item = with_item_status(422, r#"{"ok": false, "error": "budget"}"#);
+        let doc = Json::parse(&item).unwrap();
+        let Json::Obj(pairs) = &doc else { panic!("object in, object out") };
+        assert_eq!(pairs[0].0, "status");
+        assert_eq!(doc.get("status").and_then(Json::as_u64), Some(422));
+        let again = with_item_status(200, &item);
+        let doc = Json::parse(&again).unwrap();
+        assert_eq!(doc.get("status").and_then(Json::as_u64), Some(200));
+        assert_eq!(with_item_status(503, "[1, 2]"), "[1, 2]");
+    }
 
     #[test]
     fn parses_full_request_and_roundtrips() {

@@ -5,8 +5,9 @@
 //! Two modes:
 //!
 //! - The free functions ([`health`], [`stats`], [`analyze`],
-//!   [`analyze_batch`]) open one `Connection: close` connection per call —
-//!   the simplest thing that works for a single request.
+//!   [`analyze_batch`]) each send one `Connection: close` request through
+//!   [`blazer_http::one_shot`] — the simplest thing that works for a
+//!   single request.
 //! - [`Session`] holds one keep-alive connection and sends any number of
 //!   requests over it, paying the TCP handshake once. Responses are framed
 //!   by `Content-Length` (a keep-alive peer can't read to EOF), so a
@@ -17,14 +18,15 @@
 //!   re-dials once and resends; only a second consecutive failure, or a
 //!   failure after response bytes have been consumed, surfaces an error.
 //!
-//! The wire-format primitives themselves ([`read_response`] and the
-//! request formatter) live in the shared [`blazer_http`] crate.
+//! The wire-format primitives themselves ([`read_response`], the request
+//! formatter, the dialer and the one-shot request) live in the shared
+//! [`blazer_http`] crate.
 
 use crate::api::AnalyzeRequest;
-use blazer_http::format_request;
 pub use blazer_http::read_response;
+use blazer_http::{connect, format_request};
 use blazer_ir::json::Json;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 fn bad_data(msg: impl Into<String>) -> std::io::Error {
@@ -61,20 +63,12 @@ pub struct Session {
 impl Session {
     /// Connects one persistent session to `addr`.
     pub fn connect(addr: &str) -> std::io::Result<Session> {
-        let stream = TcpStream::connect(addr)?;
-        // Small request/response exchanges: Nagle + delayed ACK would add
-        // ~40ms per round trip.
-        let _ = stream.set_nodelay(true);
-        Ok(Session {
-            reader: Some(BufReader::new(stream)),
-            addr: addr.to_string(),
-            server_closed: false,
-        })
+        Ok(Session::from_stream(connect(addr, None)?, addr))
     }
 
-    /// Wraps an already-connected stream (one dialed with
-    /// `TcpStream::connect_timeout`, say) as a session to `addr`; any
-    /// later transparent re-dial uses a plain `connect`.
+    /// Wraps an already-connected stream (one dialed with a connect
+    /// timeout, say) as a session to `addr`; any later transparent re-dial
+    /// uses an unbounded connect.
     pub fn from_stream(stream: TcpStream, addr: &str) -> Session {
         Session {
             reader: Some(BufReader::new(stream)),
@@ -92,9 +86,7 @@ impl Session {
 
     /// Re-dials the session's address, replacing any previous connection.
     fn redial(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect(&self.addr)?;
-        let _ = stream.set_nodelay(true);
-        self.reader = Some(BufReader::new(stream));
+        self.reader = Some(BufReader::new(connect(&self.addr, None)?));
         self.server_closed = false;
         Ok(())
     }
@@ -184,63 +176,33 @@ impl Session {
     }
 }
 
-/// Sends one `Connection: close` request and returns `(status, body)`.
-/// The read blocks until the server closes the connection, so there is no
-/// client-side deadline racing a long-running analysis (the server's own
-/// per-request budget is the timeout mechanism).
-pub fn raw_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    stream.write_all(format_request(method, path, addr, body.unwrap_or(""), true).as_bytes())?;
-    stream.flush()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| bad_data(format!("malformed status line in: {raw:.60}")))?;
-    let payload = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .ok_or_else(|| bad_data("response without header/body separator"))?;
-    Ok((status, payload))
-}
-
-fn json_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, Json)> {
-    let (status, body) = raw_request(addr, method, path, body)?;
+/// One `Connection: close` request with a parsed JSON response. No
+/// client-side deadline races a long-running analysis: the server's own
+/// per-request budget is the timeout mechanism.
+fn json_request(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u16, Json)> {
+    let (status, body) = blazer_http::one_shot(addr, method, path, body, None)?;
     let doc = Json::parse(&body).map_err(|e| bad_data(format!("{e} in response: {body:.120}")))?;
     Ok((status, doc))
 }
 
 /// `GET /health`.
 pub fn health(addr: &str) -> std::io::Result<(u16, Json)> {
-    json_request(addr, "GET", "/health", None)
+    json_request(addr, "GET", "/health", "")
 }
 
 /// `GET /stats`.
 pub fn stats(addr: &str) -> std::io::Result<(u16, Json)> {
-    json_request(addr, "GET", "/stats", None)
+    json_request(addr, "GET", "/stats", "")
 }
 
 /// `POST /analyze` with a typed request.
 pub fn analyze(addr: &str, req: &AnalyzeRequest) -> std::io::Result<(u16, Json)> {
-    json_request(addr, "POST", "/analyze", Some(&req.to_json().to_string()))
+    json_request(addr, "POST", "/analyze", &req.to_json().to_string())
 }
 
 /// `POST /analyze` with a batch of typed requests on a one-shot
 /// connection (see [`Session::analyze_batch`] for the keep-alive way).
 pub fn analyze_batch(addr: &str, reqs: &[AnalyzeRequest]) -> std::io::Result<(u16, Json)> {
     let body = Json::arr(reqs.iter().map(AnalyzeRequest::to_json)).to_string();
-    json_request(addr, "POST", "/analyze", Some(&body))
+    json_request(addr, "POST", "/analyze", &body)
 }

@@ -19,17 +19,21 @@
 //! The architecture is the paper's Fig. 2 driver wrapped in four service
 //! layers:
 //!
-//! 1. **Bounded job queue.** The accept loop pushes connections into a
-//!    `sync_channel`; when the queue is full the connection is answered
-//!    `503` immediately instead of piling up unbounded work.
+//! 1. **Bounded job queue.** The shared serving loop
+//!    ([`blazer_http::Server`], also the router's) queues accepted
+//!    connections on a bounded channel; when the queue is full the
+//!    connection is answered `503` immediately instead of piling up
+//!    unbounded work.
 //! 2. **Worker pool with per-request budgets.** Each worker owns one
-//!    connection at a time and serves its requests in order, running every
-//!    analysis under `catch_unwind` with its own installed
+//!    connection at a time and serves its requests in order through this
+//!    crate's route table, running every analysis under `catch_unwind`
+//!    with its own installed
 //!    [`blazer_core::Budget`] (deadline and LP-call caps from the request,
 //!    clamped by the server's `max_timeout`). One pathological submission
 //!    exhausts *its* budget — it can never take the server, or a sibling
 //!    request, down. A batch submission fans its items out over
-//!    [`pool::scoped_map`] and answers one array in submission order;
+//!    [`blazer_ir::fanout::scoped_map`] and answers one array in
+//!    submission order;
 //!    per-item failures (400/422/500) never fail the batch.
 //! 3. **Single-flight coalescing.** Concurrent identical submissions join
 //!    one in-flight driver run ([`cache::SingleFlight`]) instead of
@@ -59,15 +63,13 @@ pub use blazer_http as http;
 pub use api::AnalyzeRequest;
 pub use cache::{CacheKey, VerdictCache};
 
+use blazer_ir::fanout;
 use blazer_ir::json::Json;
 use cache::{FlightOutcome, Joined, SingleFlight};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use http::{error_body, Limits, ServingStats, Shutdown};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -118,16 +120,12 @@ impl Default for ServeOptions {
     }
 }
 
-/// Live service counters (monotonic except the two gauges,
-/// [`Stats::queue_len`] and [`Stats::workers_busy`]).
+/// Live service counters: the serving loop's own (connections, requests,
+/// `4xx`s, busy `503`s and the two gauges, reached through `Deref` to
+/// [`ServingStats`]) plus the analysis counters below (all monotonic).
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// TCP connections handled by a worker (each may carry many requests).
-    pub connections: AtomicU64,
-    /// HTTP requests served, across all connections and routes (batch
-    /// submissions count as one request; their items are
-    /// [`Stats::analyze_requests`]).
-    pub requests: AtomicU64,
+    serving: ServingStats,
     /// `/analyze` submissions (cache hits and batch items included: a
     /// batch of N counts N).
     pub analyze_requests: AtomicU64,
@@ -146,17 +144,14 @@ pub struct Stats {
     pub cost_model_cache: AtomicU64,
     /// Analyses priced under a custom (non-preset) cost model.
     pub cost_model_custom: AtomicU64,
-    /// Requests answered with a `4xx` status (batch items excluded: the
-    /// batch transport itself succeeded).
-    pub client_errors: AtomicU64,
-    /// Connections rejected `503` by the full job queue.
-    pub busy_rejections: AtomicU64,
-    /// Gauge: connections accepted but not yet picked up by a worker.
-    /// Saturation shows here (and in [`Stats::workers_busy`]) before the
-    /// queue fills and 503s start.
-    pub queue_len: AtomicU64,
-    /// Gauge: workers currently serving a connection.
-    pub workers_busy: AtomicU64,
+}
+
+impl std::ops::Deref for Stats {
+    type Target = ServingStats;
+
+    fn deref(&self) -> &ServingStats {
+        &self.serving
+    }
 }
 
 struct Ctx {
@@ -166,22 +161,49 @@ struct Ctx {
     started: Instant,
     workers: usize,
     queue_depth: usize,
-    max_body_bytes: usize,
     max_timeout: Option<Duration>,
     analysis_threads: usize,
-    max_requests_per_connection: u64,
     admin_token: Option<String>,
-    /// Set by `stop()` or an authorized `POST /shutdown`: the accept loop
-    /// exits at its next wake-up and the workers drain what is queued.
-    shutdown: Arc<AtomicBool>,
-    /// The bound address, so the shutdown handler can wake the accept
-    /// loop out of its blocking `incoming()` call.
-    addr: SocketAddr,
+    /// Triggered by `stop()` or an authorized `POST /shutdown`: the accept
+    /// loop exits at its next wake-up and the workers drain what is queued.
+    shutdown: Shutdown,
 }
 
 impl Ctx {
     fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.is_set()
+    }
+}
+
+impl http::Service for Ctx {
+    const BUSY: &'static str = "server busy: job queue full, retry later";
+
+    fn serving_stats(&self) -> &ServingStats {
+        &self.stats.serving
+    }
+
+    fn respond(&self, request: &http::Request) -> (u16, String, bool) {
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
+            // A draining server is still *serving* (it finishes queued
+            // work) but must stop being picked: the probe flips to 503 so
+            // a router's health checker ejects it cleanly instead of
+            // seeing connection resets.
+            ("GET", "/health") if self.draining() => (503, health_body(self).to_string()),
+            ("GET", "/health") => (200, health_body(self).to_string()),
+            ("GET", "/stats") => (200, stats_body(self).to_string()),
+            ("POST", "/analyze") => handle_analyze(self, &request.body),
+            ("POST", "/shutdown") => {
+                // An accepted shutdown closes its connection, so this
+                // keep-alive peer does not pin its worker through the drain.
+                let (status, body) = handle_shutdown(self, &request.body);
+                return (status, body, status == 200);
+            }
+            (_, "/health" | "/stats" | "/analyze" | "/shutdown") => {
+                (405, error_body(format!("method {} not allowed here", request.method)).to_string())
+            }
+            (_, path) => (404, error_body(format!("no such route: {path}")).to_string()),
+        };
+        (status, body, false)
     }
 }
 
@@ -189,211 +211,70 @@ impl Ctx {
 /// call [`Server::stop`] for an orderly shutdown or [`Server::wait`] to
 /// serve until the process dies.
 pub struct Server {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    ctx: Arc<Ctx>,
+    inner: http::Server<Ctx>,
 }
 
 impl Server {
     /// Binds, spawns the worker pool and accept loop, and returns
     /// immediately.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&opts.addr)?;
-        let addr = listener.local_addr()?;
-        let width = pool::serving_width(opts.workers, "BLAZER_SERVE_WORKERS");
-        let cache = match opts.cache_file {
-            Some(path) => VerdictCache::persistent(path),
-            None => VerdictCache::in_memory(),
+        let workers = pool::serving_width(opts.workers, "BLAZER_SERVE_WORKERS");
+        let limits = Limits {
+            workers,
+            queue_depth: opts.queue_depth,
+            max_body_bytes: opts.max_body_bytes,
+            max_requests_per_connection: opts.max_requests_per_connection,
         };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ctx = Arc::new(Ctx {
-            cache,
+        let inner = http::Server::start(&opts.addr, limits, |shutdown| Ctx {
+            cache: match opts.cache_file {
+                Some(path) => VerdictCache::persistent(path),
+                None => VerdictCache::in_memory(),
+            },
             flights: SingleFlight::new(),
             stats: Stats::default(),
             started: Instant::now(),
-            workers: width,
+            workers,
             queue_depth: opts.queue_depth,
-            max_body_bytes: opts.max_body_bytes,
             max_timeout: opts.max_timeout,
             analysis_threads: opts.analysis_threads.max(1),
-            max_requests_per_connection: opts.max_requests_per_connection.max(1),
             admin_token: opts
                 .admin_token
                 .or_else(|| std::env::var("BLAZER_ADMIN_TOKEN").ok().filter(|t| !t.is_empty())),
-            shutdown: Arc::clone(&shutdown),
-            addr,
-        });
-        let (tx, rx) = sync_channel::<TcpStream>(opts.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..width)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || worker_loop(&rx, &ctx))
-            })
-            .collect();
-        let accept = {
-            let ctx = Arc::clone(&ctx);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Responses are small; Nagle + the peer's delayed ACK
-                    // would add ~40ms per exchange.
-                    let _ = stream.set_nodelay(true);
-                    // The gauge goes up *before* the send so a worker's
-                    // decrement (strictly after a successful send) can
-                    // never race it below zero.
-                    ctx.stats.queue_len.fetch_add(1, Ordering::SeqCst);
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(stream)) => {
-                            ctx.stats.queue_len.fetch_sub(1, Ordering::SeqCst);
-                            ctx.stats.busy_rejections.fetch_add(1, Ordering::SeqCst);
-                            let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
-                            http::write_json_response(
-                                &mut &stream,
-                                503,
-                                &error_body("server busy: job queue full, retry later").to_string(),
-                                true,
-                            );
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            ctx.stats.queue_len.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-            })
-        };
-        Ok(Server { addr, shutdown, accept: Some(accept), workers, ctx })
+            shutdown,
+        })?;
+        Ok(Server { inner })
     }
 
     /// The bound socket address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// The live service counters.
     pub fn stats(&self) -> &Stats {
-        &self.ctx.stats
+        &self.inner.service().stats
     }
 
     /// The verdict cache (for in-process inspection).
     pub fn cache(&self) -> &VerdictCache {
-        &self.ctx.cache
+        &self.inner.service().cache
     }
 
     /// Blocks the calling thread until the service shuts down (the
     /// `blazer serve` foreground mode): serves until an authorized
-    /// `POST /shutdown` (or [`Server::stop`] from another thread) flips
-    /// the shutdown flag, then finishes every queued job, flushes the
-    /// verdict cache, and returns — the graceful-drain exit path.
+    /// `POST /shutdown` (or [`Server::stop`] from another thread) triggers
+    /// the shutdown, then finishes every queued job, flushes the verdict
+    /// cache, and returns — the graceful-drain exit path.
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.ctx.cache.flush();
+        self.inner.wait();
+        self.inner.service().cache.flush();
     }
 
     /// Orderly shutdown: stop accepting, drain the workers, join every
     /// thread, flush the verdict cache.
-    pub fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept call; the flag makes it exit, dropping
-        // the queue sender, which in turn drains and stops the workers.
-        let _ = TcpStream::connect(self.addr);
+    pub fn stop(mut self) {
+        self.inner.stop();
         self.wait();
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx) {
-    loop {
-        let received = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        match received {
-            Ok(mut stream) => {
-                ctx.stats.queue_len.fetch_sub(1, Ordering::SeqCst);
-                ctx.stats.workers_busy.fetch_add(1, Ordering::SeqCst);
-                handle_connection(&mut stream, ctx);
-                ctx.stats.workers_busy.fetch_sub(1, Ordering::SeqCst);
-            }
-            Err(_) => break, // queue sender dropped: shutdown drain is done
-        }
-    }
-}
-
-fn error_body(error: impl Into<String>) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(error.into()))])
-}
-
-/// Serves one connection to completion: a keep-alive request loop over a
-/// single persistent `BufReader`, so pipelined bytes buffered past one
-/// request's boundary become the next request instead of being dropped.
-/// The loop ends when either side asks for `Connection: close`, the
-/// request cap is reached, framing fails (the stream position is then
-/// undefined), or the peer hangs up / idles out between requests.
-fn handle_connection(stream: &mut TcpStream, ctx: &Ctx) {
-    ctx.stats.connections.fetch_add(1, Ordering::SeqCst);
-    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
-    let stream: &TcpStream = stream;
-    let mut reader = BufReader::new(stream);
-    for served in 1..=ctx.max_requests_per_connection {
-        let request = match http::read_request(&mut reader, ctx.max_body_bytes) {
-            Ok(r) => r,
-            Err(http::ReadError::Closed) => return,
-            Err(http::ReadError::Bad(e)) => {
-                ctx.stats.requests.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                http::write_json_response(
-                    &mut { stream },
-                    e.status,
-                    &error_body(e.message).to_string(),
-                    true,
-                );
-                return;
-            }
-        };
-        ctx.stats.requests.fetch_add(1, Ordering::SeqCst);
-        let mut close = request.close || served == ctx.max_requests_per_connection;
-        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
-            // A draining server is still *serving* (it finishes queued
-            // work) but must stop being picked: the probe flips to 503 so
-            // a router's health checker ejects it cleanly instead of
-            // seeing connection resets.
-            ("GET", "/health") if ctx.draining() => (503, health_body(ctx).to_string()),
-            ("GET", "/health") => (200, health_body(ctx).to_string()),
-            ("GET", "/stats") => (200, stats_body(ctx).to_string()),
-            ("POST", "/analyze") => handle_analyze(ctx, &request.body),
-            ("POST", "/shutdown") => {
-                let (status, body) = handle_shutdown(ctx, &request.body);
-                if status == 200 {
-                    // Don't let this keep-alive connection pin its worker
-                    // through the drain.
-                    close = true;
-                }
-                (status, body)
-            }
-            (_, "/health" | "/stats" | "/analyze" | "/shutdown") => {
-                (405, error_body(format!("method {} not allowed here", request.method)).to_string())
-            }
-            (_, path) => (404, error_body(format!("no such route: {path}")).to_string()),
-        };
-        if (400..500).contains(&status) {
-            ctx.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-        }
-        http::write_json_response(&mut { stream }, status, &body, close);
-        if close {
-            return;
-        }
     }
 }
 
@@ -418,20 +299,20 @@ fn handle_analyze(ctx: &Ctx, body: &[u8]) -> (u16, String) {
 }
 
 /// A batch submission: every item is analyzed (misses fan out over
-/// [`pool::scoped_map`] at the server's worker width), and the response is
+/// [`fanout::scoped_map`] at the server's worker width), and the response is
 /// one JSON array in submission order. Per-item failures stay per-item —
 /// each element carries its own `status`, so a 400 or 422 item never
 /// fails its siblings, and the batch itself answers `200`.
 fn handle_batch(ctx: &Ctx, items: &[Json]) -> (u16, String) {
     ctx.stats.batch_requests.fetch_add(1, Ordering::SeqCst);
     ctx.stats.analyze_requests.fetch_add(items.len() as u64, Ordering::SeqCst);
-    let width = pool::clamped_width(ctx.workers, items.len());
-    let results: Vec<String> = pool::scoped_map(items, width, |_, item| {
+    let width = fanout::clamped_width(ctx.workers, items.len());
+    let results: Vec<String> = fanout::scoped_map(items, width, |_, item| {
         let (status, body) = match api::AnalyzeRequest::from_json(item) {
             Ok(req) => analyze_one(ctx, &req),
             Err(e) => (400, error_body(format!("bad request: {e}")).to_string()),
         };
-        with_item_status(status, &body)
+        api::with_item_status(status, &body)
     });
     (200, format!("[{}]", results.join(", ")))
 }
@@ -496,25 +377,11 @@ fn with_cached_flag(body: &str, cached: bool) -> String {
     }
 }
 
-/// Prefixes a batch item's body with its per-item HTTP status.
-fn with_item_status(status: u16, body: &str) -> String {
-    match Json::parse(body) {
-        Ok(Json::Obj(mut pairs)) => {
-            pairs.retain(|(k, _)| k != "status");
-            pairs.insert(0, ("status".to_string(), Json::from(u64::from(status))));
-            Json::Obj(pairs).to_string()
-        }
-        // Mirror the verbatim rule above: an exotic body is carried, not
-        // rewrapped into a different shape.
-        _ => body.to_string(),
-    }
-}
-
 /// `POST /shutdown`: the graceful-drain admin endpoint. The body must be
 /// `{"token": "..."}` matching the configured admin token; without a
 /// configured token the endpoint is disabled outright. An authorized
-/// request flips the shutdown flag (new connections stop being accepted,
-/// `/health` answers 503), wakes the accept loop, and answers 200 — the
+/// request triggers the shutdown (new connections stop being accepted,
+/// `/health` answers 503) and answers 200 — the
 /// workers then finish everything already queued, the verdict cache is
 /// flushed, and [`Server::wait`] returns so the process can exit 0.
 fn handle_shutdown(ctx: &Ctx, body: &[u8]) -> (u16, String) {
@@ -532,13 +399,7 @@ fn handle_shutdown(ctx: &Ctx, body: &[u8]) -> (u16, String) {
     if presented.as_deref() != Some(expected.as_str()) {
         return (403, error_body("shutdown refused: bad or missing admin token").to_string());
     }
-    ctx.shutdown.store(true, Ordering::SeqCst);
-    // Wake the accept loop out of its blocking `incoming()`; it sees the
-    // flag, exits, and drops the queue sender, which drains the workers.
-    let addr = ctx.addr;
-    std::thread::spawn(move || {
-        let _ = TcpStream::connect(addr);
-    });
+    ctx.shutdown.trigger();
     (200, Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]).to_string())
 }
 
@@ -616,17 +477,5 @@ mod tests {
             assert_eq!(with_cached_flag(body, true), body);
             assert_eq!(with_cached_flag(body, false), body);
         }
-    }
-
-    #[test]
-    fn item_status_is_prefixed_and_never_duplicated() {
-        let item = with_item_status(422, r#"{"ok": false, "error": "budget"}"#);
-        let doc = Json::parse(&item).unwrap();
-        let Json::Obj(pairs) = &doc else { panic!("object in, object out") };
-        assert_eq!(pairs[0].0, "status");
-        assert_eq!(doc.get("status").and_then(Json::as_u64), Some(422));
-        let again = with_item_status(200, &item);
-        let doc = Json::parse(&again).unwrap();
-        assert_eq!(doc.get("status").and_then(Json::as_u64), Some(200));
     }
 }

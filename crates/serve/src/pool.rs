@@ -1,73 +1,12 @@
-//! Worker-pool machinery shared by the service and the benchmark harness.
+//! Worker-pool widths for the service, the router and the benchmark
+//! harness, resolved at the program edge: an explicit width, else a named
+//! environment variable, else the machine's parallelism.
 //!
-//! [`scoped_map`] is the ordered fan-out primitive: evaluate a function
-//! over a slice on `width` scoped worker threads, returning results in
-//! item order no matter which worker finished first — the same
-//! deterministic-merge discipline as the driver's trail-evaluation pool.
-//! The HTTP server builds its long-lived worker pool on plain
-//! `std::sync::mpsc` channels instead (jobs arrive over time, not as a
-//! slice), but both share the rule that a panicking job never takes a
-//! sibling down with it.
-
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Maps `f` over `items` on up to `width` scoped worker threads and
-/// returns the results in item order. `f` receives `(index, &item)`.
-///
-/// `width <= 1` (or a single item) runs sequentially on the calling
-/// thread with no pool at all. A panicking call is isolated until every
-/// item has been processed, then the first panic (in item order) is
-/// re-raised with its original payload.
-pub fn scoped_map<T, R, F>(items: &[T], width: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if width <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..width.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= items.len() {
-                    break;
-                }
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(items.len());
-    let mut first_panic = None;
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(r)) => results.push(r),
-            Some(Err(payload)) => {
-                first_panic.get_or_insert(payload);
-            }
-            None => unreachable!("every item index is claimed by some worker"),
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    results
-}
-
-/// Clamps a fan-out width to the number of items, never below one — the
-/// shared rule for sizing a [`scoped_map`] call (the Table-1 harness over
-/// its selected benchmarks, the batch `/analyze` handler over its items):
-/// spawning more workers than items buys nothing.
-pub fn clamped_width(width: usize, items: usize) -> usize {
-    width.min(items).max(1)
-}
+//! The pools these widths size live elsewhere. The connection-serving
+//! pool (a bounded queue drained by long-lived workers, because
+//! connections arrive over time) is `blazer_http::Server`; the ordered
+//! fan-out over a slice (batch items, Table-1 rows, trail evaluations)
+//! is [`blazer_ir::fanout::scoped_map`], which reads no environment.
 
 /// The effective pool width for a `width` request: an explicit positive
 /// value wins, then a positive value in the named environment variable,
@@ -106,31 +45,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_item_order_at_every_width() {
-        let items: Vec<usize> = (0..37).collect();
-        let sequential = scoped_map(&items, 1, |i, &x| (i, x * x));
-        for width in [2, 4, 16] {
-            assert_eq!(scoped_map(&items, width, |i, &x| (i, x * x)), sequential);
-        }
-    }
-
-    #[test]
-    fn reraises_the_first_panic_in_item_order() {
-        let items: Vec<usize> = (0..16).collect();
-        let caught = std::panic::catch_unwind(|| {
-            scoped_map(&items, 4, |_, &x| {
-                if x % 5 == 3 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        })
-        .unwrap_err();
-        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert_eq!(msg, "boom at 3");
-    }
-
-    #[test]
     fn serving_width_adds_a_spare_only_for_derived_widths() {
         assert_eq!(serving_width(Some(1), "BLAZER_TEST_NO_SUCH_VAR"), 1);
         assert_eq!(serving_width(Some(5), "BLAZER_TEST_NO_SUCH_VAR"), 5);
@@ -138,14 +52,6 @@ mod tests {
             serving_width(None, "BLAZER_TEST_NO_SUCH_VAR"),
             effective_width(None, "BLAZER_TEST_NO_SUCH_VAR") + 1
         );
-    }
-
-    #[test]
-    fn clamps_width_to_items_never_below_one() {
-        assert_eq!(clamped_width(8, 3), 3);
-        assert_eq!(clamped_width(2, 24), 2);
-        assert_eq!(clamped_width(4, 0), 1);
-        assert_eq!(clamped_width(0, 5), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use blazer_core::{Blazer, Config, Verdict};
 use blazer_ir::json::Json;
-use blazer_serve::{client, AnalyzeRequest, ServeOptions, Server};
+use blazer_serve::{client, http, AnalyzeRequest, ServeOptions, Server};
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -90,7 +90,7 @@ fn malformed_requests_get_structured_errors_and_the_server_survives() {
     let addr = server.addr().to_string();
     // Body is not JSON at all.
     let (status, body) =
-        client::raw_request(&addr, "POST", "/analyze", Some("{not json")).expect("round-trips");
+        http::one_shot(&addr, "POST", "/analyze", "{not json", None).expect("round-trips");
     assert_eq!(status, 400);
     let doc = Json::parse(&body).expect("error body is JSON");
     assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
@@ -98,19 +98,19 @@ fn malformed_requests_get_structured_errors_and_the_server_survives() {
     // Unknown member, missing source, compile error: all structured 400s.
     for bad in [r#"{"frobnicate": 1}"#, r#"{"function": "f"}"#, r#"{"source": "fn broken( {"}"#] {
         let (status, body) =
-            client::raw_request(&addr, "POST", "/analyze", Some(bad)).expect("round-trips");
+            http::one_shot(&addr, "POST", "/analyze", bad, None).expect("round-trips");
         assert_eq!(status, 400, "{bad} -> {body}");
     }
     // A removed backend is a 400 that says so.
     let removed = r#"{"source": "fn f() { }", "backend": "portfolio"}"#;
     let (status, body) =
-        client::raw_request(&addr, "POST", "/analyze", Some(removed)).expect("round-trips");
+        http::one_shot(&addr, "POST", "/analyze", removed, None).expect("round-trips");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("removed"), "{body}");
     // Unknown routes and wrong methods are structured too.
-    let (status, _) = client::raw_request(&addr, "GET", "/nope", None).expect("404 route");
+    let (status, _) = http::one_shot(&addr, "GET", "/nope", "", None).expect("404 route");
     assert_eq!(status, 404);
-    let (status, _) = client::raw_request(&addr, "DELETE", "/analyze", None).expect("405 route");
+    let (status, _) = http::one_shot(&addr, "DELETE", "/analyze", "", None).expect("405 route");
     assert_eq!(status, 405);
     // And the server is still alive and serving analyses.
     let (status, doc) =
@@ -303,6 +303,36 @@ fn stats_reports_queue_and_worker_gauges() {
     server.stop();
 }
 
+/// A full job queue is answered `503` at once: an idle keep-alive session
+/// pins the only worker, a second connection fills the one queue slot,
+/// and the third is turned away with the busy body without being read.
+#[test]
+fn full_queue_answers_busy_503() {
+    let server =
+        start_server(ServeOptions { workers: Some(1), queue_depth: 1, ..ServeOptions::default() });
+    let addr = server.addr().to_string();
+    let mut pinning = client::Session::connect(&addr).expect("pinning session");
+    let (status, _) = pinning.health().expect("the only worker serves the pinning session");
+    assert_eq!(status, 200);
+    let queued = std::net::TcpStream::connect(server.addr()).expect("queued connection");
+    let busy = std::net::TcpStream::connect(server.addr()).expect("third connection");
+    busy.set_read_timeout(Some(http::IO_TIMEOUT)).expect("read timeout");
+    let (status, body, closes) =
+        client::read_response(&mut std::io::BufReader::new(busy)).expect("busy answer");
+    assert_eq!(status, 503, "{body}");
+    assert!(closes, "a busy answer closes its connection");
+    assert_eq!(body, r#"{"ok": false, "error": "server busy: job queue full, retry later"}"#);
+    let stats = server.stats();
+    assert_eq!(stats.busy_rejections.load(Ordering::SeqCst), 1);
+    assert_eq!(stats.queue_len.load(Ordering::SeqCst), 1);
+    assert_eq!(stats.workers_busy.load(Ordering::SeqCst), 1);
+    // Hang up both, so the worker drains them at once instead of idling
+    // to the keep-alive timeout.
+    drop(queued);
+    drop(pinning);
+    server.stop();
+}
+
 #[test]
 fn shutdown_endpoint_is_token_gated_and_drains_gracefully() {
     let path = scratch_path("drain");
@@ -317,11 +347,10 @@ fn shutdown_endpoint_is_token_gated_and_drains_gracefully() {
     let (status, _) = client::analyze(&addr, &AnalyzeRequest::new(UNSAFE_SRC)).expect("analyze");
     assert_eq!(status, 200);
     // Wrong or missing token: refused, server unaffected.
-    let (status, body) = client::raw_request(&addr, "POST", "/shutdown", None).expect("no token");
+    let (status, body) = http::one_shot(&addr, "POST", "/shutdown", "", None).expect("no token");
     assert_eq!(status, 403, "{body}");
-    let (status, body) =
-        client::raw_request(&addr, "POST", "/shutdown", Some(r#"{"token": "wrong"}"#))
-            .expect("bad token");
+    let (status, body) = http::one_shot(&addr, "POST", "/shutdown", r#"{"token": "wrong"}"#, None)
+        .expect("bad token");
     assert_eq!(status, 403, "{body}");
     let (status, health) = client::health(&addr).expect("health while up");
     assert_eq!(status, 200);
@@ -330,9 +359,8 @@ fn shutdown_endpoint_is_token_gated_and_drains_gracefully() {
     let mut witness = client::Session::connect(&addr).expect("witness session");
     let (status, _) = witness.health().expect("witness is being served");
     assert_eq!(status, 200);
-    let (status, body) =
-        client::raw_request(&addr, "POST", "/shutdown", Some(r#"{"token": "sekrit"}"#))
-            .expect("authorized shutdown");
+    let (status, body) = http::one_shot(&addr, "POST", "/shutdown", r#"{"token": "sekrit"}"#, None)
+        .expect("authorized shutdown");
     assert_eq!(status, 200, "{body}");
     let doc = Json::parse(&body).expect("shutdown body");
     assert_eq!(doc.get("draining").and_then(Json::as_bool), Some(true));
@@ -360,7 +388,7 @@ fn shutdown_endpoint_is_disabled_without_a_token() {
     };
     let addr = server.addr().to_string();
     let (status, body) =
-        client::raw_request(&addr, "POST", "/shutdown", Some(r#"{"token": "anything"}"#))
+        http::one_shot(&addr, "POST", "/shutdown", r#"{"token": "anything"}"#, None)
             .expect("round-trips");
     assert_eq!(status, 403, "{body}");
     assert!(body.contains("disabled"), "{body}");
@@ -442,11 +470,11 @@ fn batch_mixes_ok_and_failed_items_without_failing_the_batch() {
 fn empty_and_malformed_batches_answer_cleanly() {
     let server = start_server(ServeOptions::default());
     let addr = server.addr().to_string();
-    let (status, body) = client::raw_request(&addr, "POST", "/analyze", Some("[]")).unwrap();
+    let (status, body) = http::one_shot(&addr, "POST", "/analyze", "[]", None).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body.trim(), "[]");
     // A batch whose items are not objects: per-item 400s, batch still 200.
-    let (status, body) = client::raw_request(&addr, "POST", "/analyze", Some("[1, 2]")).unwrap();
+    let (status, body) = http::one_shot(&addr, "POST", "/analyze", "[1, 2]", None).unwrap();
     assert_eq!(status, 200);
     let items = Json::parse(&body).unwrap();
     let items = items.as_arr().unwrap().to_vec();
