@@ -253,16 +253,19 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes one JSON response, announcing `Connection: keep-alive` or
-/// `Connection: close` per `close`. Write errors are ignored: the peer may
-/// have hung up, and the server has nothing better to do than move on.
+/// `Connection: close` per `close`. Head and body go out in one write, so
+/// a response is one TCP segment (when it fits) rather than a head segment
+/// the peer must wait on before the body follows. Write errors are
+/// ignored: the peer may have hung up, and the server has nothing better
+/// to do than move on.
 pub fn write_json_response<W: Write>(writer: &mut W, status: u16, body: &str, close: bool) {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
         reason(status),
         body.len(),
         if close { "close" } else { "keep-alive" },
     );
-    let _ = writer.write_all(head.as_bytes()).and_then(|()| writer.write_all(body.as_bytes()));
+    let _ = writer.write_all(response.as_bytes());
     let _ = writer.flush();
 }
 
@@ -784,6 +787,34 @@ mod tests {
         assert_eq!((status, body.as_str(), closes), (200, "{\"ok\": true}", false));
         let (status, body, closes) = read_response(&mut reader).unwrap();
         assert_eq!((status, body.as_str(), closes), (503, "{\"ok\": false}", true));
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            wire: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.wire.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut wire = Counting::default();
+        write_json_response(&mut wire, 200, "{\"ok\": true}", false);
+        assert_eq!(wire.writes, 1);
+        write_json_response(&mut wire, 503, "{\"ok\": false}", true);
+        assert_eq!(wire.writes, 2);
+        let mut reader = Cursor::new(wire.wire);
+        assert_eq!(read_response(&mut reader).unwrap().1, "{\"ok\": true}");
+        assert_eq!(read_response(&mut reader).unwrap().1, "{\"ok\": false}");
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl Json {
     /// Parses a JSON document (the whole input must be one value plus
     /// whitespace).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -348,7 +348,11 @@ impl std::error::Error for JsonError {}
 /// request bodies) a clean error instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
 
+/// A recursive-descent parser over a `&str`. The input is valid UTF-8 by
+/// type, and every token boundary the parser stops at is an ASCII byte, so
+/// strings and numbers are sliced out of `input` without re-validation.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -478,10 +482,9 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            // The run ends at an ASCII byte (or the end of input), so both
+            // ends are character boundaries.
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -529,12 +532,14 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let slice = self
+        let digits = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let v = digits
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -565,7 +570,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.input[start..self.pos];
         // Bare integer literals stay exact: `u64` counters (and anything up
         // to i128) survive a round trip bit-for-bit. Only literals beyond
         // i128 — which nothing in this workspace emits — degrade to `f64`.
@@ -626,7 +631,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "\"unterminated"] {
+        for bad in
+            ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "\"unterminated", "\"\\u+1a2\""]
+        {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
     }
@@ -705,6 +712,45 @@ mod tests {
             r#""\ud83d\u00""#,   // truncated low half
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Multibyte characters, every escaped character, a control
+        /// character, and plain ASCII: the alphabet of generated strings.
+        const PALETTE: [char; 14] =
+            ['a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'é', '中', '😀', '\u{7f}'];
+
+        fn text(picks: &[usize]) -> String {
+            picks.iter().map(|&i| PALETTE[i % PALETTE.len()]).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Serializing and re-parsing returns the same document, and
+            /// serializing that again returns the same text.
+            #[test]
+            fn documents_round_trip_through_text(
+                key in proptest::collection::vec(0usize..14, 0..6),
+                value in proptest::collection::vec(0usize..14, 0..12),
+                items in proptest::collection::vec(proptest::collection::vec(0usize..14, 0..5), 0..4),
+                n in 0u64..1_000_000,
+            ) {
+                let doc = Json::obj([
+                    (text(&key), Json::from(text(&value))),
+                    ("items".to_string(), Json::arr(items.iter().map(|i| text(i)))),
+                    ("n".to_string(), Json::from(n)),
+                    ("secs".to_string(), Json::secs(n as f64 / 7.0)),
+                ]);
+                let written = doc.to_string();
+                let back = Json::parse(&written).unwrap();
+                prop_assert_eq!(&back, &doc);
+                prop_assert_eq!(back.to_string(), written);
+            }
         }
     }
 

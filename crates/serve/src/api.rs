@@ -1,4 +1,4 @@
-//! The `POST /analyze` request model and execution path.
+//! The `POST /analyze` request model, execution path, and answer shape.
 //!
 //! A request carries surface-language source plus per-request analysis
 //! options (domain, observer, deadline, LP cap). Execution is fully
@@ -307,6 +307,10 @@ pub fn execute(
 /// that is not a JSON object (nothing the server produces, but a
 /// hand-edited cache file can hold anything) is carried verbatim, not
 /// rewrapped into a different shape.
+///
+/// This parses `body`: it is for text whose shape is unknown (a backend's
+/// answer at the router, an error body). An answer the service shaped
+/// itself goes through [`Body::render_item`], which does no JSON work.
 pub fn with_item_status(status: u16, body: &str) -> String {
     match Json::parse(body) {
         Ok(Json::Obj(mut pairs)) => {
@@ -315,6 +319,104 @@ pub fn with_item_status(status: u16, body: &str) -> String {
             Json::Obj(pairs).to_string()
         }
         _ => body.to_string(),
+    }
+}
+
+/// An `/analyze` answer body in its final shape. A body is shaped once:
+/// when a fresh answer enters the verdict cache or a flight, or when the
+/// persistence file loads. Answering it afterwards, as a hit, a follower,
+/// a fresh answer or a batch item, never parses or serializes JSON.
+///
+/// A JSON object gets its `cached` member second, replacing any stale
+/// one, and its text is kept as a hit answers it, with that member reading
+/// `true`. A fresh answer flips that one literal; a batch item prefixes
+/// its `status`. Anything else is kept and answered verbatim: the service
+/// never produces it, but a hand-edited persistence file can hold it, and
+/// rewrapping it would change the answer's shape.
+///
+/// A body reads (through `Deref`) as the text a cache hit answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Body {
+    text: String,
+    /// `None` for a body that is not a JSON object.
+    object: Option<ObjectShape>,
+}
+
+/// Where a shaped object's parts sit in its text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ObjectShape {
+    /// Byte offset of the `cached` member's `true` literal.
+    flag_at: usize,
+    /// Whether the object has a top-level `status` member of its own,
+    /// which only a hand-edited persistence file can give it.
+    has_status: bool,
+}
+
+impl Body {
+    /// Shapes an answer document: an object's `cached` member is placed
+    /// second (first in an otherwise empty object), and the document is
+    /// serialized once.
+    pub(crate) fn shape(doc: Json) -> Body {
+        let Json::Obj(mut pairs) = doc else {
+            return Body { text: doc.to_string(), object: None };
+        };
+        pairs.retain(|(k, _)| k != "cached");
+        let at = pairs.len().min(1);
+        // The members before `cached`, serialized alone, give its offset:
+        // `{`, those members, then `, ` when there are any.
+        let before = Json::Obj(pairs[..at].to_vec()).to_string().len() - 1;
+        let flag_at = before + if at == 0 { 0 } else { ", ".len() } + "\"cached\": ".len();
+        let has_status = pairs.iter().any(|(k, _)| k == "status");
+        pairs.insert(at, ("cached".to_string(), Json::Bool(true)));
+        let text = Json::Obj(pairs).to_string();
+        debug_assert_eq!(&text[flag_at..flag_at + 4], "true");
+        Body { text, object: Some(ObjectShape { flag_at, has_status }) }
+    }
+
+    /// The answer text, with an object's `cached` member reading `cached`.
+    pub(crate) fn render(self, cached: bool) -> String {
+        let mut text = self.text;
+        if let (false, Some(shape)) = (cached, self.object) {
+            text.replace_range(shape.flag_at..shape.flag_at + "true".len(), "false");
+        }
+        text
+    }
+
+    /// The answer as one element of a batch, prefixed with its per-item
+    /// HTTP status; a body that is not an object is carried verbatim, as
+    /// [`with_item_status`] carries it.
+    pub(crate) fn render_item(self, status: u16, cached: bool) -> String {
+        let object = self.object;
+        let text = self.render(cached);
+        match object {
+            None => text,
+            // `text` is a serialized object holding at least `cached`, so
+            // the prefix always precedes a member.
+            Some(ObjectShape { has_status: false, .. }) => {
+                format!("{{\"status\": {status}, {}", &text[1..])
+            }
+            Some(ObjectShape { has_status: true, .. }) => with_item_status(status, &text),
+        }
+    }
+}
+
+/// Shapes a body read back as text (the persistence file): parsed once, so
+/// an object takes the shape [`Body::shape`] gives it and anything else,
+/// unparsable text included, is kept verbatim.
+impl From<&str> for Body {
+    fn from(text: &str) -> Body {
+        match Json::parse(text) {
+            Ok(doc @ Json::Obj(_)) => Body::shape(doc),
+            _ => Body { text: text.to_string(), object: None },
+        }
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
     }
 }
 
@@ -333,6 +435,65 @@ mod tests {
         let doc = Json::parse(&again).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_u64), Some(200));
         assert_eq!(with_item_status(503, "[1, 2]"), "[1, 2]");
+    }
+
+    #[test]
+    fn cached_flag_is_placed_second_and_replaces_stale_flags() {
+        // The strings the per-hit parse-and-reserialize produced for these
+        // stored bodies, pinned.
+        for (stored, hit, fresh) in [
+            (
+                r#"{"ok": true, "verdict": "safe", "cached": false}"#,
+                r#"{"ok": true, "cached": true, "verdict": "safe"}"#,
+                r#"{"ok": true, "cached": false, "verdict": "safe"}"#,
+            ),
+            (
+                r#"{"verdict":"safe","ok":true,"cached":true,"cached":false}"#,
+                r#"{"verdict": "safe", "cached": true, "ok": true}"#,
+                r#"{"verdict": "safe", "cached": false, "ok": true}"#,
+            ),
+            (r#"{"cached": false}"#, r#"{"cached": true}"#, r#"{"cached": false}"#),
+            ("{}", r#"{"cached": true}"#, r#"{"cached": false}"#),
+        ] {
+            assert_eq!(Body::from(stored).render(true), hit);
+            assert_eq!(Body::from(stored).render(false), fresh);
+            assert_eq!(Body::from(hit), Body::from(stored), "shaping is idempotent");
+        }
+    }
+
+    #[test]
+    fn non_object_bodies_pass_through_verbatim() {
+        // A non-object body (only reachable via a hand-edited persistence
+        // file) keeps its exact shape, as a hit and as a batch item.
+        for body in ["[1, 2, 3]", "\"just a string\"", "17", "not json at all", "{ broken"] {
+            assert_eq!(Body::from(body).render(true), body);
+            assert_eq!(Body::from(body).render(false), body);
+            assert_eq!(Body::from(body).render_item(200, true), body);
+            assert_eq!(with_item_status(200, body), body);
+        }
+    }
+
+    #[test]
+    fn a_shaped_item_is_the_parsed_item() {
+        // `render_item` prefixes text; `with_item_status` parses. They
+        // agree on every shape, a stored `status` member included.
+        for stored in [
+            r#"{"ok": true, "key": "k", "trails": [{"status": "safe"}]}"#,
+            r#"{"ok": false, "error": "budget"}"#,
+            r#"{"status": 7, "ok": true}"#,
+            r#"{"ok": true, "status": 7, "status": 8}"#,
+            "{}",
+        ] {
+            for (status, cached) in [(200, true), (422, false)] {
+                let body = Body::from(stored);
+                let expected = with_item_status(status, &body.clone().render(cached));
+                assert_eq!(body.render_item(status, cached), expected, "{stored}");
+            }
+        }
+        assert_eq!(
+            Body::from(r#"{"status": 7, "ok": true}"#).render_item(200, true),
+            r#"{"status": 200, "cached": true, "ok": true}"#
+        );
     }
 
     #[test]

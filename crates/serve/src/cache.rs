@@ -14,6 +14,10 @@
 //! Budget-exhausted and crashed analyses are **never** cached: they
 //! describe what one request's budget allowed, not what the program is.
 //!
+//! A stored body is an [`api::Body`](crate::api::Body): shaped once, on
+//! insert or when the persistence file loads, and answered as a hit by a
+//! copy of its text.
+//!
 //! ## Concurrency (see DESIGN.md §12)
 //!
 //! The store is a [`ShardedMap`]: the key's FNV-1a hash picks one of N
@@ -37,6 +41,7 @@
 //! log without bound between restarts. A torn trailing line (a crash
 //! mid-append) is skipped on reload and dropped by compaction.
 
+use crate::api::Body;
 use crate::sync::{default_shard_count, fnv1a64, shard_index, ShardedMap};
 use blazer_ir::json::{escape, Json};
 use std::collections::{HashMap, HashSet};
@@ -85,50 +90,56 @@ impl CacheKey {
 
 // ------------------------------------------------------------ single-flight
 
-/// The finished result of one coalesced analysis run, shared with every
-/// request that joined the flight while it was in the air.
+/// The finished result of one coalesced run, shared with every request
+/// that joined the flight while it was in the air. The body type is the
+/// caller's: the service shares shaped [`Body`]s, the router the backend's
+/// text.
 #[derive(Debug, Clone)]
-pub struct FlightOutcome {
+pub struct FlightOutcome<B = String> {
     /// HTTP status the leader produced.
     pub status: u16,
-    /// Raw JSON body (before per-request `cached` annotation).
-    pub body: String,
+    /// The body, as the leader produced it.
+    pub body: B,
 }
 
-#[derive(Debug, Default)]
-struct Flight {
-    result: Mutex<Option<FlightOutcome>>,
+/// What followers of a leader that died without publishing are answered,
+/// with a `500`.
+const ABANDONED: &str = "{\"ok\": false, \"error\": \"analysis abandoned by its worker\"}";
+
+#[derive(Debug)]
+struct Flight<B> {
+    result: Mutex<Option<FlightOutcome<B>>>,
     ready: Condvar,
 }
 
 /// What [`SingleFlight::join`] made of a request.
-pub enum Joined<'a> {
+pub enum Joined<'a, B: From<&'static str> = String> {
     /// First in: this request must run the analysis and publish the result
     /// through [`FlightToken::complete`].
-    Leader(FlightToken<'a>),
+    Leader(FlightToken<'a, B>),
     /// An identical request was already in the air; this is its result.
-    Follower(FlightOutcome),
+    Follower(FlightOutcome<B>),
 }
 
 /// The leader's obligation to publish. If the token is dropped without
 /// [`FlightToken::complete`] (a panic escaping the leader's path), waiting
 /// followers are released with a `500` instead of blocking forever.
-pub struct FlightToken<'a> {
-    owner: &'a SingleFlight,
+pub struct FlightToken<'a, B: From<&'static str> = String> {
+    owner: &'a SingleFlight<B>,
     shard: usize,
     key: String,
-    flight: Arc<Flight>,
+    flight: Arc<Flight<B>>,
     published: bool,
 }
 
-impl FlightToken<'_> {
+impl<B: From<&'static str>> FlightToken<'_, B> {
     /// Publishes the leader's result to every follower and retires the
     /// flight so later identical requests start fresh (or hit the cache).
-    pub fn complete(mut self, outcome: FlightOutcome) {
+    pub fn complete(mut self, outcome: FlightOutcome<B>) {
         self.publish(outcome);
     }
 
-    fn publish(&mut self, outcome: FlightOutcome) {
+    fn publish(&mut self, outcome: FlightOutcome<B>) {
         if self.published {
             return;
         }
@@ -139,25 +150,22 @@ impl FlightToken<'_> {
     }
 }
 
-impl Drop for FlightToken<'_> {
+impl<B: From<&'static str>> Drop for FlightToken<'_, B> {
     fn drop(&mut self) {
         if !self.published {
-            self.publish(FlightOutcome {
-                status: 500,
-                body: "{\"ok\": false, \"error\": \"analysis abandoned by its worker\"}"
-                    .to_string(),
-            });
+            self.publish(FlightOutcome { status: 500, body: B::from(ABANDONED) });
         }
     }
 }
 
 /// Coalesces concurrent identical submissions onto one driver run.
 ///
-/// Sits *in front of* the verdict cache: without it, N simultaneous POSTs
-/// of the same uncached program all miss and all run the full analysis (a
-/// cache stampede — the cache only helps once somebody has finished). With
-/// it, the first request becomes the flight's *leader*; the other N−1
-/// block on its condvar and are answered from the leader's single run.
+/// Sits *behind* the verdict cache: a hit never joins a flight. Without
+/// it, N simultaneous POSTs of the same uncached program all miss and all
+/// run the full analysis (a cache stampede — the cache only helps once
+/// somebody has finished). With it, the first request to miss becomes the
+/// flight's *leader*; the other N−1 block on its condvar and are answered
+/// from the leader's single run.
 /// Non-cacheable outcomes (`422`/`500`) are shared with concurrent
 /// followers too — they asked the exact same question at the same time —
 /// but are still never inserted into the cache.
@@ -168,29 +176,29 @@ impl Drop for FlightToken<'_> {
 /// the leader/follower Condvar protocol and the poison-on-drop token are
 /// unchanged.
 #[derive(Debug)]
-pub struct SingleFlight {
-    shards: Box<[FlightShard]>,
+pub struct SingleFlight<B = String> {
+    shards: Box<[FlightShard<B>]>,
 }
 
 /// One shard of the flight registry: the in-flight leaders whose keys
 /// hash here.
-type FlightShard = Mutex<HashMap<String, Arc<Flight>>>;
+type FlightShard<B> = Mutex<HashMap<String, Arc<Flight<B>>>>;
 
-impl Default for SingleFlight {
-    fn default() -> SingleFlight {
+impl<B: Clone + From<&'static str>> Default for SingleFlight<B> {
+    fn default() -> SingleFlight<B> {
         SingleFlight::new()
     }
 }
 
-impl SingleFlight {
+impl<B: Clone + From<&'static str>> SingleFlight<B> {
     /// An empty flight registry with the default shard count.
-    pub fn new() -> SingleFlight {
+    pub fn new() -> SingleFlight<B> {
         SingleFlight::with_shards(default_shard_count())
     }
 
     /// An empty flight registry with `shards` shards (rounded up to a
     /// power of two).
-    pub fn with_shards(shards: usize) -> SingleFlight {
+    pub fn with_shards(shards: usize) -> SingleFlight<B> {
         let shards = shards.max(1).next_power_of_two();
         SingleFlight { shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect() }
     }
@@ -198,14 +206,15 @@ impl SingleFlight {
     /// Joins the flight for `key`: the first caller becomes the leader and
     /// returns immediately; every other caller blocks until the leader
     /// publishes, then gets the shared outcome.
-    pub fn join(&self, key: &CacheKey) -> Joined<'_> {
+    pub fn join(&self, key: &CacheKey) -> Joined<'_, B> {
         let shard = shard_index(key.hash(), self.shards.len());
         let flight = {
             let mut flights = self.shards[shard].lock().unwrap_or_else(|e| e.into_inner());
             match flights.get(key.canonical()) {
                 Some(flight) => Arc::clone(flight),
                 None => {
-                    let flight = Arc::new(Flight::default());
+                    let flight =
+                        Arc::new(Flight { result: Mutex::new(None), ready: Condvar::new() });
                     flights.insert(key.canonical().to_string(), Arc::clone(&flight));
                     return Joined::Leader(FlightToken {
                         owner: self,
@@ -269,7 +278,7 @@ impl std::fmt::Debug for Persist {
 /// persistence (compacted on reload and periodically in place).
 #[derive(Debug)]
 pub struct VerdictCache {
-    map: ShardedMap<String>,
+    map: ShardedMap<Body>,
     hits: AtomicU64,
     misses: AtomicU64,
     persist: Option<Mutex<Persist>>,
@@ -336,9 +345,11 @@ impl VerdictCache {
     ///
     /// Reload keeps the newest record per key, newest-first up to the cap
     /// (unreadable or malformed lines — a torn final append — are skipped;
-    /// they must not brick the server), then rewrites the file from the
-    /// survivors so duplicates, evictees, and the torn line don't replay
-    /// on every future restart.
+    /// they must not brick the server), shapes each surviving body once
+    /// (a record written before bodies were stored shaped, or edited by
+    /// hand, answers exactly as it always did), then rewrites the file
+    /// from the survivors so duplicates, evictees, and the torn line don't
+    /// replay on every future restart.
     pub fn persistent_with(path: PathBuf, max_entries: usize, shards: usize) -> VerdictCache {
         let max_entries = max_entries.max(1);
         let mut records: Vec<(String, String)> = Vec::new();
@@ -366,15 +377,19 @@ impl VerdictCache {
                 survivors.push(pair);
             }
         }
-        survivors.reverse();
+        let survivors: Vec<(String, Body)> = survivors
+            .into_iter()
+            .rev()
+            .map(|(key, response)| (key.clone(), Body::from(response.as_str())))
+            .collect();
         compact(&path, &survivors);
         let map = ShardedMap::new(max_entries, shards);
-        for (key, response) in survivors {
+        for (key, body) in survivors {
             // Oldest first: insertion order doubles as the recency order,
             // so a reloaded cache evicts in the same sequence the flushed
             // one would have. Survivors fit the global cap by
             // construction, so no insert here can trigger an eviction.
-            map.insert(key, response.clone());
+            map.insert(&key, body);
         }
         VerdictCache {
             map,
@@ -387,22 +402,27 @@ impl VerdictCache {
         }
     }
 
-    /// Looks up a response body, counting the hit or miss and refreshing
-    /// the entry's recency. **No exclusive lock anywhere on this path**:
-    /// one shard read lock plus atomic counter bumps (see
+    /// Looks up a response body, counting a hit and refreshing the
+    /// entry's recency; a miss is not counted. This is the lookup a
+    /// request makes before it joins a flight, which may still answer it
+    /// without running the driver. **No exclusive lock anywhere on this
+    /// path**: one shard read lock plus atomic counter bumps (see
     /// [`ShardedMap::get`]) — concurrent hits never serialize, and a
     /// stalled persistence append never delays them.
-    pub fn get(&self, key: &CacheKey) -> Option<String> {
-        match self.map.get(&key.canonical) {
-            Some(body) => {
-                self.hits.fetch_add(1, Ordering::SeqCst);
-                Some(body)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::SeqCst);
-                None
-            }
+    pub fn hit(&self, key: &CacheKey) -> Option<Body> {
+        let body = self.map.get(&key.canonical)?;
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        Some(body)
+    }
+
+    /// [`VerdictCache::hit`], counting a miss too: the lookup that decides
+    /// whether the driver runs.
+    pub fn get(&self, key: &CacheKey) -> Option<Body> {
+        let body = self.hit(key);
+        if body.is_none() {
+            self.misses.fetch_add(1, Ordering::SeqCst);
         }
+        body
     }
 
     /// Stores a response body, evicting a least-recently-used entry of the
@@ -414,7 +434,7 @@ impl VerdictCache {
     ///
     /// Evictions only drop the in-memory entry; their stale log records
     /// are swept by the periodic compaction or the next reload.
-    pub fn insert(&self, key: &CacheKey, body: String) {
+    pub fn insert(&self, key: &CacheKey, body: Body) {
         if !self.map.insert(&key.canonical, body.clone()) {
             // A replacement: same key, same (deterministic) body — the log
             // already has the record.
@@ -458,9 +478,7 @@ impl VerdictCache {
                 // plus shard *read* locks — hits are never delayed.
                 if *appended >= 2 * self.map.capacity() as u64 {
                     *appended = 0;
-                    let pairs = self.live_entries_lru_first();
-                    let survivors: Vec<&(String, String)> = pairs.iter().collect();
-                    compact(path, &survivors);
+                    compact(path, &self.live_entries_lru_first());
                     *handle = None; // the rename replaced the inode
                 }
             }
@@ -469,7 +487,7 @@ impl VerdictCache {
 
     /// The live entries, least-recently-used first (compaction/flush
     /// order, so a reload reconstructs the same eviction sequence).
-    fn live_entries_lru_first(&self) -> Vec<(String, String)> {
+    fn live_entries_lru_first(&self) -> Vec<(String, Body)> {
         let mut entries = self.map.entries();
         entries.sort_by_key(|(_, _, stamp)| *stamp);
         entries.into_iter().map(|(k, v, _)| (k, v)).collect()
@@ -484,9 +502,7 @@ impl VerdictCache {
         let Some(persist) = &self.persist else { return };
         let mut persist = persist.lock().unwrap_or_else(|e| e.into_inner());
         let Sink::File { path, handle } = &mut persist.sink else { return };
-        let pairs = self.live_entries_lru_first();
-        let survivors: Vec<&(String, String)> = pairs.iter().collect();
-        compact(path, &survivors);
+        compact(path, &self.live_entries_lru_first());
         *handle = None;
         persist.appended = 0;
     }
@@ -547,7 +563,7 @@ fn record_line(canonical: &str, body: &str) -> String {
 /// temp file and rename so a crash mid-compaction leaves either the old
 /// or the new log, never a half-written one. Failure is non-fatal: the
 /// server runs on, merely without the compaction.
-fn compact(path: &PathBuf, survivors: &[&(String, String)]) {
+fn compact(path: &PathBuf, survivors: &[(String, Body)]) {
     if !path.exists() && survivors.is_empty() {
         return;
     }
@@ -582,8 +598,10 @@ mod tests {
         let cache = VerdictCache::in_memory();
         let key = CacheKey::new("src", None, "cfg");
         assert!(cache.get(&key).is_none());
+        // A hit that does not count a miss: the lookup before a flight.
+        assert!(cache.hit(&key).is_none());
         cache.insert(&key, "{\"ok\": true}".into());
-        assert_eq!(cache.get(&key).as_deref(), Some("{\"ok\": true}"));
+        assert_eq!(cache.get(&key).as_deref(), Some("{\"ok\": true, \"cached\": true}"));
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
         assert_eq!(cache.hit_rate(), 0.5);
         assert!(cache.shards() >= 4);
@@ -618,7 +636,7 @@ mod tests {
     #[test]
     fn single_flight_coalesces_concurrent_joiners() {
         use std::sync::atomic::AtomicUsize;
-        let sf = SingleFlight::new();
+        let sf: SingleFlight = SingleFlight::new();
         let key = CacheKey::new("src", None, "cfg");
         let leads = AtomicUsize::new(0);
         let follows = AtomicUsize::new(0);
@@ -655,7 +673,7 @@ mod tests {
     fn single_flight_shards_keys_independently() {
         // Leaders for distinct keys coexist without contending: every key
         // gets its own flight regardless of which shard it lands in.
-        let sf = SingleFlight::with_shards(4);
+        let sf: SingleFlight = SingleFlight::with_shards(4);
         let keys: Vec<CacheKey> =
             (0..16).map(|i| CacheKey::new(&format!("src{i}"), None, "cfg")).collect();
         let tokens: Vec<FlightToken> = keys
@@ -674,7 +692,7 @@ mod tests {
 
     #[test]
     fn single_flight_releases_followers_when_the_leader_is_dropped() {
-        let sf = SingleFlight::new();
+        let sf: SingleFlight = SingleFlight::new();
         let key = CacheKey::new("src", None, "cfg");
         let Joined::Leader(token) = sf.join(&key) else { panic!("first joiner leads") };
         std::thread::scope(|scope| {
@@ -687,11 +705,26 @@ mod tests {
             assert_eq!(follower.join().unwrap(), 500);
         });
         assert_eq!(sf.in_flight(), 0);
+        // Shaped bodies are released with the same error, in their shape.
+        let sf: SingleFlight<Body> = SingleFlight::new();
+        let Joined::Leader(token) = sf.join(&key) else { panic!("first joiner leads") };
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| match sf.join(&key) {
+                Joined::Follower(outcome) => outcome.body.render(true),
+                Joined::Leader(_) => panic!("flight is already in the air"),
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(token);
+            assert_eq!(
+                follower.join().unwrap(),
+                r#"{"ok": false, "cached": true, "error": "analysis abandoned by its worker"}"#
+            );
+        });
     }
 
     #[test]
     fn single_flight_retires_flights_for_reuse() {
-        let sf = SingleFlight::new();
+        let sf: SingleFlight = SingleFlight::new();
         let key = CacheKey::new("src", None, "cfg");
         let Joined::Leader(first) = sf.join(&key) else { panic!("leads") };
         first.complete(FlightOutcome { status: 200, body: "a".into() });
@@ -719,7 +752,7 @@ mod tests {
         assert_eq!(reloaded.len(), 2);
         assert_eq!(
             reloaded.get(&CacheKey::new("s1", Some("f"), "c")).as_deref(),
-            Some("{\"v\": \"safe\"}")
+            Some("{\"v\": \"safe\", \"cached\": true}")
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -731,7 +764,10 @@ mod tests {
         {
             let cache = VerdictCache::persistent_with_cap(path.clone(), 10);
             for i in 0..5 {
-                cache.insert(&CacheKey::new(&format!("s{i}"), None, "c"), format!("r{i}"));
+                cache.insert(
+                    &CacheKey::new(&format!("s{i}"), None, "c"),
+                    format!("r{i}").as_str().into(),
+                );
             }
         }
         // A duplicate record for an old key (as an eviction + reinsert
@@ -779,7 +815,10 @@ mod tests {
         // and evicts an entry; at 2×cap appends the log self-compacts.
         let cache = VerdictCache::persistent_with(path.clone(), 4, 1);
         for i in 0..64 {
-            cache.insert(&CacheKey::new(&format!("s{i}"), None, "c"), format!("r{i}"));
+            cache.insert(
+                &CacheKey::new(&format!("s{i}"), None, "c"),
+                format!("r{i}").as_str().into(),
+            );
         }
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert!(

@@ -35,14 +35,15 @@
 //!    [`blazer_ir::fanout::scoped_map`] and answers one array in
 //!    submission order;
 //!    per-item failures (400/422/500) never fail the batch.
-//! 3. **Single-flight coalescing.** Concurrent identical submissions join
-//!    one in-flight driver run ([`cache::SingleFlight`]) instead of
-//!    stampeding past a shared cache miss.
-//! 4. **Content-addressed verdict cache.** Verdicts are pure functions of
+//! 3. **Content-addressed verdict cache.** Verdicts are pure functions of
 //!    `(source, config)`, so completed responses are memoized by content
 //!    address ([`cache::CacheKey`]) and identical resubmissions are
 //!    answered in microseconds, optionally surviving restarts via an
-//!    append-only JSONL file.
+//!    append-only JSONL file. A hit is one shard read and a copy of the
+//!    stored [`api::Body`], shaped when it was stored.
+//! 4. **Single-flight coalescing.** Concurrent identical submissions that
+//!    miss the cache join one in-flight driver run
+//!    ([`cache::SingleFlight`]) instead of stampeding past a shared miss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,6 +64,7 @@ pub use blazer_http as http;
 pub use api::AnalyzeRequest;
 pub use cache::{CacheKey, VerdictCache};
 
+use api::Body;
 use blazer_ir::fanout;
 use blazer_ir::json::Json;
 use cache::{FlightOutcome, Joined, SingleFlight};
@@ -131,8 +133,8 @@ pub struct Stats {
     pub analyze_requests: AtomicU64,
     /// Analyses that actually ran the driver.
     pub analyses_run: AtomicU64,
-    /// Submissions answered from a concurrent identical in-flight run
-    /// instead of running the driver or hitting the cache themselves.
+    /// Submissions that missed the cache and were answered from a
+    /// concurrent identical in-flight run instead of running the driver.
     pub coalesced: AtomicU64,
     /// Batch (array-bodied) `/analyze` requests.
     pub batch_requests: AtomicU64,
@@ -156,7 +158,7 @@ impl std::ops::Deref for Stats {
 
 struct Ctx {
     cache: VerdictCache,
-    flights: SingleFlight,
+    flights: SingleFlight<Body>,
     stats: Stats,
     started: Instant,
     workers: usize,
@@ -293,7 +295,10 @@ fn handle_analyze(ctx: &Ctx, body: &[u8]) -> (u16, String) {
     }
     ctx.stats.analyze_requests.fetch_add(1, Ordering::SeqCst);
     match api::AnalyzeRequest::from_json(&doc) {
-        Ok(req) => analyze_one(ctx, &req),
+        Ok(req) => {
+            let (status, body, cached) = analyze_one(ctx, &req);
+            (status, body.render(cached))
+        }
         Err(e) => (400, error_body(format!("bad request: {e}")).to_string()),
     }
 }
@@ -307,30 +312,45 @@ fn handle_batch(ctx: &Ctx, items: &[Json]) -> (u16, String) {
     ctx.stats.batch_requests.fetch_add(1, Ordering::SeqCst);
     ctx.stats.analyze_requests.fetch_add(items.len() as u64, Ordering::SeqCst);
     let width = fanout::clamped_width(ctx.workers, items.len());
-    let results: Vec<String> = fanout::scoped_map(items, width, |_, item| {
-        let (status, body) = match api::AnalyzeRequest::from_json(item) {
-            Ok(req) => analyze_one(ctx, &req),
-            Err(e) => (400, error_body(format!("bad request: {e}")).to_string()),
-        };
-        api::with_item_status(status, &body)
-    });
+    let results: Vec<String> =
+        fanout::scoped_map(items, width, |_, item| match api::AnalyzeRequest::from_json(item) {
+            Ok(req) => {
+                let (status, body, cached) = analyze_one(ctx, &req);
+                body.render_item(status, cached)
+            }
+            Err(e) => {
+                api::with_item_status(400, &error_body(format!("bad request: {e}")).to_string())
+            }
+        });
     (200, format!("[{}]", results.join(", ")))
 }
 
-/// One submission through the full cache → single-flight → driver stack.
-fn analyze_one(ctx: &Ctx, req: &api::AnalyzeRequest) -> (u16, String) {
+/// One submission through the cache → single-flight → driver stack: its
+/// status, its shaped body, and whether that body answers as `cached` (a
+/// hit or a follower) rather than as this request's own fresh run. Every
+/// submission counts once: as a cache hit, a coalesced follower, or a
+/// cache miss whose leader runs the driver.
+fn analyze_one(ctx: &Ctx, req: &api::AnalyzeRequest) -> (u16, Body, bool) {
     let key = req.cache_key();
+    // A hit takes one shard read lock and copies the stored body: it never
+    // joins a flight, so it neither waits on a leader nor holds followers.
+    if let Some(stored) = ctx.cache.hit(&key) {
+        return (200, stored, true);
+    }
     match ctx.flights.join(&key) {
         Joined::Follower(outcome) => {
             // An identical submission was already in the air: share its
             // result without touching the driver or the cache.
             ctx.stats.coalesced.fetch_add(1, Ordering::SeqCst);
-            (outcome.status, with_cached_flag(&outcome.body, true))
+            (outcome.status, outcome.body, true)
         }
         Joined::Leader(token) => {
+            // A flight that retired between the lookup above and the join
+            // left its verdict in the cache: answer from it rather than
+            // analyse the program twice.
             if let Some(stored) = ctx.cache.get(&key) {
                 token.complete(FlightOutcome { status: 200, body: stored.clone() });
-                return (200, with_cached_flag(&stored, true));
+                return (200, stored, true);
             }
             let response = api::execute(req, ctx.max_timeout, ctx.analysis_threads);
             // A 400 from `execute` is a compile/lookup failure: the driver
@@ -351,29 +371,13 @@ fn analyze_one(ctx: &Ctx, req: &api::AnalyzeRequest) -> (u16, String) {
             if response.status == 500 {
                 ctx.stats.crashes.fetch_add(1, Ordering::SeqCst);
             }
-            let body = response.body.to_string();
+            let body = Body::shape(response.body);
             if response.cacheable {
                 ctx.cache.insert(&key, body.clone());
             }
             token.complete(FlightOutcome { status: response.status, body: body.clone() });
-            (response.status, with_cached_flag(&body, false))
+            (response.status, body, false)
         }
-    }
-}
-
-/// Annotates a stored/fresh response body with its cache provenance. A
-/// body that is not a JSON object (nothing the server produces today, but
-/// a hand-edited persistence file can hold anything) passes through
-/// verbatim — rewrapping it would change the response shape.
-fn with_cached_flag(body: &str, cached: bool) -> String {
-    match Json::parse(body) {
-        Ok(Json::Obj(mut pairs)) => {
-            pairs.retain(|(k, _)| k != "cached");
-            let at = pairs.len().min(1);
-            pairs.insert(at, ("cached".to_string(), Json::Bool(cached)));
-            Json::Obj(pairs).to_string()
-        }
-        _ => body.to_string(),
     }
 }
 
@@ -452,30 +456,4 @@ fn stats_body(ctx: &Ctx) -> Json {
         ("client_errors", Json::from(s.client_errors.load(Ordering::SeqCst))),
         ("busy_rejections", Json::from(s.busy_rejections.load(Ordering::SeqCst))),
     ])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cached_flag_is_inserted_after_ok_and_replaces_stale_flags() {
-        let flagged = with_cached_flag(r#"{"ok": true, "verdict": "safe", "cached": false}"#, true);
-        let doc = Json::parse(&flagged).unwrap();
-        let Json::Obj(pairs) = &doc else { panic!("object in, object out") };
-        assert_eq!(pairs[1].0, "cached");
-        assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true));
-        assert_eq!(pairs.iter().filter(|(k, _)| k == "cached").count(), 1);
-    }
-
-    #[test]
-    fn cached_flag_passes_non_object_bodies_through_verbatim() {
-        // A non-object body (only reachable via a hand-edited persistence
-        // file) must keep its exact shape — the old behavior rewrapped it
-        // as a JSON *string*, silently changing the response type.
-        for body in ["[1, 2, 3]", "\"just a string\"", "17", "not json at all"] {
-            assert_eq!(with_cached_flag(body, true), body);
-            assert_eq!(with_cached_flag(body, false), body);
-        }
-    }
 }

@@ -37,7 +37,7 @@ fn stress_no_lost_inserts_and_no_double_evictions() {
                 gate.wait();
                 for i in 0..PER_THREAD {
                     let tag = worker * PER_THREAD + i;
-                    cache.insert(&key(tag), format!("body-{tag}"));
+                    cache.insert(&key(tag), format!("body-{tag}").as_str().into());
                     // Interleaved hit/miss traffic on a neighbour key.
                     let _ = cache.get(&key(tag.saturating_sub(3)));
                 }
@@ -107,8 +107,11 @@ fn stress_replacements_keep_the_accounting_exact() {
 /// 8 client threads race the same 4 tiny programs against a live server:
 /// the driver must run exactly once per distinct program — every other
 /// submission is either coalesced onto an in-flight leader or a cache
-/// hit. This is the service-level proof that sharding the single-flight
-/// kept its exactly-once guarantee.
+/// hit, and each submission counts as exactly one of the three. This is
+/// the service-level proof that sharding the single-flight kept its
+/// exactly-once guarantee, and that a hit checked before the flight (with
+/// the leader checking again) neither runs a program twice nor counts a
+/// request twice.
 #[test]
 fn single_flight_runs_each_distinct_program_once_under_contention() {
     const THREADS: usize = 8;
@@ -150,6 +153,7 @@ fn single_flight_runs_each_distinct_program_once_under_contention() {
     let coalesced = stats.coalesced.load(Ordering::SeqCst);
     let hits = server.cache().hits();
     assert_eq!(runs, PROGRAMS, "exactly one driver run per distinct program");
+    assert_eq!(server.cache().misses(), runs, "a cache miss is a lookup that ran the driver");
     assert_eq!(
         coalesced + hits + runs,
         total,
@@ -201,7 +205,7 @@ fn stalled_append_never_delays_reads() {
     let writer = {
         let cache = Arc::clone(&cache);
         let stalled = stalled.clone();
-        std::thread::spawn(move || cache.insert(&stalled, "stalled-body".to_string()))
+        std::thread::spawn(move || cache.insert(&stalled, "stalled-body".into()))
     };
     // Wait until the insert is provably parked *inside* the append.
     {
@@ -241,7 +245,7 @@ impl Write for BrokenWriter {
 fn failing_append_sink_leaves_the_cache_serving() {
     let cache = VerdictCache::with_append_sink(Box::new(BrokenWriter), 16, 4);
     for tag in 0..8 {
-        cache.insert(&key(tag), format!("body-{tag}"));
+        cache.insert(&key(tag), format!("body-{tag}").as_str().into());
     }
     assert_eq!(cache.len(), 8);
     for tag in 0..8 {

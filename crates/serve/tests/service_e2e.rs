@@ -601,3 +601,116 @@ fn verdict_cache_survives_a_restart() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// The serve-mixed benchmark's rows: the hit set a resubmission answers
+/// from the cache.
+const SERVE_MIXED_ROWS: [&str; 8] = [
+    "nosecret_safe",
+    "notaint_unsafe",
+    "sanity_safe",
+    "sanity_unsafe",
+    "straightline_safe",
+    "straightline_unsafe",
+    "unixlogin_safe",
+    "unixlogin_unsafe",
+];
+
+/// A cache hit answers the stored body byte for byte, with only its
+/// `cached` member flipped, and a batch hit prefixes that same text with
+/// its `status`.
+#[test]
+fn hits_differ_from_the_fresh_answer_only_in_the_cached_flag() {
+    let server = start_server(ServeOptions::default());
+    let addr = server.addr().to_string();
+    let mut session = client::Session::connect(&addr).expect("session connects");
+    let mut requests = Vec::new();
+    let mut items = Vec::new();
+    for name in SERVE_MIXED_ROWS {
+        let row = blazer_benchmarks::by_name(name).expect("serve-mixed row exists");
+        let request = AnalyzeRequest::new(row.source);
+        let body = request.to_json().to_string();
+        let (status, fresh) = session.request("POST", "/analyze", Some(&body)).expect("fresh");
+        assert_eq!(status, 200, "{name}: {fresh}");
+        assert!(fresh.starts_with(r#"{"ok": true, "cached": false, "key": "#), "{name}: {fresh}");
+        let (status, hit) = session.request("POST", "/analyze", Some(&body)).expect("hit");
+        assert_eq!(status, 200, "{name}: {hit}");
+        assert_eq!(hit, fresh.replacen(r#""cached": false"#, r#""cached": true"#, 1), "{name}");
+        items.push(format!(r#"{{"status": 200, {}"#, &hit[1..]));
+        requests.push(request);
+    }
+    let batch = Json::arr(requests.iter().map(AnalyzeRequest::to_json)).to_string();
+    let (status, answer) = session.request("POST", "/analyze", Some(&batch)).expect("batch");
+    assert_eq!(status, 200, "{answer}");
+    assert_eq!(answer, format!("[{}]", items.join(", ")));
+    let n = SERVE_MIXED_ROWS.len() as u64;
+    assert_eq!((server.cache().misses(), server.cache().hits()), (n, 2 * n));
+    assert_eq!(server.stats().analyses_run.load(Ordering::SeqCst), n);
+    assert_eq!(server.stats().coalesced.load(Ordering::SeqCst), 0);
+    server.stop();
+}
+
+/// A persistence file whose bodies were written before bodies were stored
+/// shaped, or were edited by hand, answers exactly as the per-hit
+/// parse-and-reserialize answered it: the expected strings are that
+/// path's output, pinned.
+#[test]
+fn legacy_and_hand_edited_persisted_bodies_answer_byte_for_byte() {
+    let cases = [
+        // Members reordered.
+        (
+            r#"{"verdict": "safe", "function": "f", "ok": true}"#,
+            r#"{"verdict": "safe", "cached": true, "function": "f", "ok": true}"#,
+            r#"{"status": 200, "verdict": "safe", "cached": true, "function": "f", "ok": true}"#,
+        ),
+        // A stale `cached`, last.
+        (
+            r#"{"ok": true, "verdict": "attack", "cached": false}"#,
+            r#"{"ok": true, "cached": true, "verdict": "attack"}"#,
+            r#"{"status": 200, "ok": true, "cached": true, "verdict": "attack"}"#,
+        ),
+        // A stale `cached`, first, in compact spacing.
+        (
+            r#"{"cached":false,"ok":true,"leakage_bits":1.5,"n":3}"#,
+            r#"{"ok": true, "cached": true, "leakage_bits": 1.5, "n": 3}"#,
+            r#"{"status": 200, "ok": true, "cached": true, "leakage_bits": 1.5, "n": 3}"#,
+        ),
+        // A `status` of its own: kept as a hit, replaced as an item.
+        (
+            r#"{"status": 7, "ok": true}"#,
+            r#"{"status": 7, "cached": true, "ok": true}"#,
+            r#"{"status": 200, "cached": true, "ok": true}"#,
+        ),
+        // Not objects: verbatim everywhere.
+        ("[1, 2, 3]", "[1, 2, 3]", "[1, 2, 3]"),
+        ("{ broken", "{ broken", "{ broken"),
+    ];
+    let path = scratch_path("legacy");
+    let requests: Vec<AnalyzeRequest> =
+        (0..cases.len()).map(|i| AnalyzeRequest::new(format!("fn f() {{ tick({i}); }}"))).collect();
+    let file: String = requests
+        .iter()
+        .zip(&cases)
+        .map(|(req, (stored, ..))| {
+            let key = req.cache_key();
+            Json::obj([("key", key.canonical()), ("response", stored)]).to_string() + "\n"
+        })
+        .collect();
+    std::fs::write(&path, file).expect("write the persistence file");
+    let server =
+        start_server(ServeOptions { cache_file: Some(path.clone()), ..ServeOptions::default() });
+    let addr = server.addr().to_string();
+    let mut session = client::Session::connect(&addr).expect("session connects");
+    for (req, (stored, hit, _)) in requests.iter().zip(&cases) {
+        let body = req.to_json().to_string();
+        let (status, answer) = session.request("POST", "/analyze", Some(&body)).expect("hit");
+        assert_eq!((status, answer.as_str()), (200, *hit), "stored {stored}");
+    }
+    let batch = Json::arr(requests.iter().map(AnalyzeRequest::to_json)).to_string();
+    let (status, answer) = session.request("POST", "/analyze", Some(&batch)).expect("batch");
+    assert_eq!(status, 200);
+    let items: Vec<&str> = cases.iter().map(|(.., item)| *item).collect();
+    assert_eq!(answer, format!("[{}]", items.join(", ")));
+    assert_eq!(server.stats().analyses_run.load(Ordering::SeqCst), 0);
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
